@@ -20,6 +20,10 @@
 //     requests_offered: overload must never produce a hang, a crash, or an
 //     untyped failure.
 //
+// Both benches send one identical seeded request over and over, so the
+// daemon runs with its result cache off: every request is admitted and
+// executed, never answered by a pre-admission replay of the first one.
+//
 // Times are wall-clock (UseRealTime): the work happens on server workers
 // and pool threads, not the benchmark thread.
 
@@ -81,6 +85,7 @@ struct BenchServer {
     pool = std::make_unique<exec::ExecutorPool>(pool_options);
     ServerOptions options;
     options.pool = pool.get();
+    options.result_cache_bytes = 0;
     server = std::make_unique<Server>(options);
     std::string error;
     if (!server->Start(&error)) {

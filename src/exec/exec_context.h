@@ -77,23 +77,18 @@ struct QueryStats {
   /// was built fresh (a miss, or no cache in the path).
   int64_t plan_cache_hits = 0;
 
-  /// 1 when this query's reduced states (or its full result, on the serve
-  /// path) came out of a state/result cache — either an exact version match
-  /// or a delta refresh; 0 otherwise.
+  /// 1 when gyo_serve replayed this query's full answer from the result
+  /// cache (cache::ResultCache) instead of executing it; 0 otherwise.
   int64_t state_cache_hits = 0;
 
   /// Semijoin-fixpoint rounds actually executed. Under the delta-round
   /// schedule a round only processes relations with a neighbor that shrank
-  /// (or grew) last round, so incremental maintenance after a small append
-  /// runs far fewer — and far narrower — rounds than a batch re-reduce.
-  /// Deterministic for a given start state (pinned by bench_incremental).
+  /// last round. Deterministic for a given start state.
   int64_t delta_rounds = 0;
 
   /// Input rows scanned by executed fixpoint semijoins (lhs + rhs rows of
-  /// every statement that actually ran) plus the rows hashed or probed by
-  /// the incremental grow phase. The work measure behind the delta-vs-batch
-  /// comparison: skipped clean-pair semijoins contribute nothing.
-  /// Deterministic for a given start state.
+  /// every statement that actually ran); skipped clean-pair semijoins
+  /// contribute nothing. Deterministic for a given start state.
   int64_t rows_rescanned = 0;
 
   /// Probe rows pruned by a sideways-information-passing filter: a Bloom

@@ -63,27 +63,28 @@ std::optional<std::vector<Relation>> ApplyFullReducer(
   return out;
 }
 
-namespace {
+std::vector<Relation> SemijoinFixpoint(const DatabaseSchema& d,
+                                       const std::vector<Relation>& states,
+                                       int* steps) {
+  return SemijoinFixpoint(d, states, exec::ExecContext(), steps);
+}
 
-// The delta-round fixpoint body shared by SemijoinFixpoint (first round =
-// every relation) and SemijoinFixpointFrom (first round = the caller's
-// grown relations). `process_first[i]` gates relation i's chain in round
-// one, where a processed relation semijoins against ALL its neighbors;
-// every later round re-semijoins a relation only against the neighbors
-// that shrank in the previous round. Skipped pairs are no-ops by the clean
-// -pair invariant — Ri ⋉ Rj removes nothing until Rj shrinks again after
-// the pair was last applied — so states and effective-step counts are
+// The delta-round schedule: round one semijoins every relation against ALL
+// its neighbors; every later round re-semijoins a relation only against the
+// neighbors that shrank in the previous round. Skipped pairs are no-ops by
+// the clean-pair invariant — Ri ⋉ Rj removes nothing until Rj shrinks again
+// after the pair was last applied — so states and effective-step counts are
 // bit-identical to the dense every-pair-every-round schedule.
 //
-// Consumes `out`: every round moves the states through the exec runtime's
-// moving entry point instead of deep-copying the bases (QueryStats'
-// rows_rescanned measures the scans that remain).
-std::vector<Relation> FixpointRounds(const DatabaseSchema& d,
-                                     std::vector<Relation> out,
-                                     const std::vector<char>& process_first,
-                                     const exec::ExecContext& ctx,
-                                     int* steps) {
-  GYO_CHECK(static_cast<int>(out.size()) == d.NumRelations());
+// The caller's states are copied once; every round then moves them through
+// the exec runtime's moving entry point instead of deep-copying the bases
+// (QueryStats' rows_rescanned measures the scans that remain).
+std::vector<Relation> SemijoinFixpoint(const DatabaseSchema& d,
+                                       const std::vector<Relation>& states,
+                                       const exec::ExecContext& ctx,
+                                       int* steps) {
+  GYO_CHECK(static_cast<int>(states.size()) == d.NumRelations());
+  std::vector<Relation> out = states;
   const int n = d.NumRelations();
   std::vector<std::vector<int>> nbrs(static_cast<size_t>(n));
   for (int i = 0; i < n; ++i) {
@@ -115,27 +116,26 @@ std::vector<Relation> FixpointRounds(const DatabaseSchema& d,
   int effective = 0;
   int64_t rounds = 0;
   int64_t rescanned = 0;
-  bool first = true;
-  std::vector<char> shrank(static_cast<size_t>(n), 0);
+  // Round one treats every relation as freshly shrunk, so each chain runs
+  // over all of its neighbors.
+  std::vector<char> shrank(static_cast<size_t>(n), 1);
   std::vector<int64_t> pre_rows(static_cast<size_t>(n), 0);
   std::vector<int> result_id(static_cast<size_t>(n), 0);
   while (true) {
-    // Compile this round's dirty pairs: in round one, chains for the
-    // first-round relations over all their neighbors; afterwards, chains
-    // over the neighbors that shrank last round (a Jacobi round — every rhs
-    // is a base id, so chains stay mutually independent and the whole round
-    // is one task wave).
+    // Compile this round's dirty pairs: each relation's chain over the
+    // neighbors that shrank last round (a Jacobi round — every rhs is a
+    // base id, so chains stay mutually independent and the whole round is
+    // one task wave).
     Program program(n);
     for (int i = 0; i < n; ++i) {
       int acc = i;
       for (int j : nbrs[static_cast<size_t>(i)]) {
-        const bool dirty = first ? process_first[static_cast<size_t>(i)] != 0
-                                 : shrank[static_cast<size_t>(j)] != 0;
-        if (dirty) acc = program.AddSemijoin(acc, j);
+        if (shrank[static_cast<size_t>(j)] != 0) {
+          acc = program.AddSemijoin(acc, j);
+        }
       }
       result_id[static_cast<size_t>(i)] = acc;
     }
-    first = false;
     if (program.NumStatements() == 0) break;
     ++rounds;
     for (int i = 0; i < n; ++i) {
@@ -196,45 +196,6 @@ std::vector<Relation> FixpointRounds(const DatabaseSchema& d,
   }
   if (steps != nullptr) *steps = effective;
   return out;
-}
-
-}  // namespace
-
-std::vector<Relation> SemijoinFixpoint(const DatabaseSchema& d,
-                                       const std::vector<Relation>& states,
-                                       int* steps) {
-  return SemijoinFixpoint(d, states, exec::ExecContext(), steps);
-}
-
-std::vector<Relation> SemijoinFixpoint(const DatabaseSchema& d,
-                                       const std::vector<Relation>& states,
-                                       const exec::ExecContext& ctx,
-                                       int* steps) {
-  return FixpointRounds(
-      d, states, std::vector<char>(states.size(), 1), ctx, steps);
-}
-
-std::vector<Relation> SemijoinFixpoint(const DatabaseSchema& d,
-                                       std::vector<Relation>&& states,
-                                       const exec::ExecContext& ctx,
-                                       int* steps) {
-  const size_t n = states.size();
-  return FixpointRounds(d, std::move(states), std::vector<char>(n, 1), ctx,
-                        steps);
-}
-
-std::vector<Relation> SemijoinFixpointFrom(const DatabaseSchema& d,
-                                           std::vector<Relation> states,
-                                           const std::vector<int>& first_round,
-                                           const exec::ExecContext& ctx,
-                                           int* steps) {
-  std::vector<char> process(states.size(), 0);
-  for (int i : first_round) {
-    GYO_CHECK_MSG(i >= 0 && static_cast<size_t>(i) < states.size(),
-                  "first_round relation id %d out of range", i);
-    process[static_cast<size_t>(i)] = 1;
-  }
-  return FixpointRounds(d, std::move(states), process, ctx, steps);
 }
 
 }  // namespace gyo
