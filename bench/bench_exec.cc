@@ -158,14 +158,14 @@ BENCHMARK(BM_Exec_FullJoin_Morsels)
     ->UseRealTime();
 
 void BM_Exec_StealImbalance(benchmark::State& state) {
-  // Deliberately skewed semijoin: 75% of the probe side shares one hot key,
-  // so one hash partition owns ~6x its fair share of probe chunks — and
-  // every one of those chunks carries the same builder affinity. Without
-  // stealing that partition serializes on one deque; with it the idle
-  // workers drain the hot deque FIFO. The trailing projection gives the
-  // graph a second statement, so the caller's drain loop runs inside the
-  // measured region and leftover affinity-tagged morsels are consumed (and
-  // counted) before the query finishes even on a single-core host.
+  // The skew bench: a semijoin where 75% of the probe side shares one hot
+  // key, so one hash partition owns ~6x its fair share of probe chunks.
+  // Every probe chunk is claimed from one shared counter by whichever
+  // thread is free, so the hot partition's chunks spread over the pool
+  // like any others; the thread curve shows whether skew costs anything
+  // beyond the extra rows. The trailing projection gives the graph a
+  // second statement, so the caller's drain loop runs inside the measured
+  // region. result_rows is pinned like every other bench's.
   constexpr int64_t kProbeRows = 1 << 18;
   constexpr int64_t kBuildRows = 1 << 16;
   constexpr Value kHotKey = 42;
@@ -263,8 +263,8 @@ void BM_Exec_JoinScatter(benchmark::State& state) {
   // NaturalJoin's probe-side radix scatter under skew: the build side is
   // unique on the join key (output growth ≤ 1), the probe side puts half
   // its rows on 8 hot keys — so a handful of partitions own most of the
-  // probe traffic and the scatter + sticky affinity + stealing interplay
-  // is what the thread curve measures. Arg(0) = threads, Arg(1) =
+  // probe traffic, and the scatter under that skew is what the thread curve
+  // measures. Arg(0) = threads, Arg(1) =
   // deterministic: the 1-half pays the k-way morsel merge that restores
   // serial output order, the 0-half concatenates in completion order, so
   // the merge's cost is the gap between the halves at each width.

@@ -101,18 +101,6 @@ inline void ReportMemCounters(benchmark::State& state,
   state.counters["zone_map_skips"] =
       static_cast<double>(query_stats.zone_map_skips);
   state.counters["peak_rss_mb"] = peak_rss_mb;
-  // Work-stealing scheduler counters. Placement is timing-dependent, so
-  // none of these are pinned exactly; the bench-check only requires
-  // tasks_stolen, summed across the StealImbalance family's thread widths,
-  // to stay positive when the recorded baseline shows stealing (a family-
-  // wide regression to zero would mean the imbalanced partition serialized
-  // on one thread).
-  state.counters["tasks_stolen"] =
-      static_cast<double>(query_stats.tasks_stolen);
-  state.counters["affinity_hits"] =
-      static_cast<double>(query_stats.affinity_hits);
-  state.counters["affinity_misses"] =
-      static_cast<double>(query_stats.affinity_misses);
 }
 
 }  // namespace gyo_bench

@@ -68,11 +68,10 @@ inline void ConfigureExecFromFlags(
 /// the CLI line and the wire protocol cannot disagree about what the pool
 /// looks like. Per-submitter running/queued tallies follow on their own
 /// lines (the queue-depth observable behind backpressure). When the context
-/// carries QueryStats from a completed query, also prints that query's
-/// scheduling counters — steals, partition-affinity hits/misses, and the
-/// admission queue depth it saw on arrival. Only meaningful on the parallel
-/// path — callers skip it when ctx.threads == 1 (serial execution never
-/// touches the pool).
+/// carries QueryStats from a completed query, also prints the admission
+/// queue depth that query saw on arrival and its pruning counters. Only
+/// meaningful on the parallel path — callers skip it when ctx.threads == 1
+/// (serial execution never touches the pool).
 inline void PrintPoolStatus(const gyo::exec::ExecContext& ctx) {
   gyo::exec::ExecutorPool& pool =
       ctx.pool != nullptr ? *ctx.pool : gyo::exec::ExecutorPool::Global();
@@ -88,13 +87,8 @@ inline void PrintPoolStatus(const gyo::exec::ExecContext& ctx) {
   }
   if (ctx.query_stats != nullptr) {
     const gyo::exec::QueryStats& qs = *ctx.query_stats;
-    std::printf(
-        "  scheduling: %lld tasks stolen, affinity %lld hits / %lld misses, "
-        "queue depth at admit %lld\n",
-        static_cast<long long>(qs.tasks_stolen),
-        static_cast<long long>(qs.affinity_hits),
-        static_cast<long long>(qs.affinity_misses),
-        static_cast<long long>(qs.queue_depth_at_admit));
+    std::printf("  scheduling: queue depth at admit %lld\n",
+                static_cast<long long>(qs.queue_depth_at_admit));
     std::printf(
         "  pruning: %lld rows SIP-pruned, %lld zone-map skips, %lld Bloom "
         "pruned\n",

@@ -195,13 +195,8 @@ int Solve(gyo::Catalog& catalog, const gyo::DatabaseSchema& d,
           static_cast<long long>(query_stats.morsels),
           static_cast<long long>(query_stats.peak_state_bytes / 1024),
           static_cast<long long>(query_stats.retired_states));
-      std::printf(
-          "             sched: %lld stolen, affinity %lld hits / %lld "
-          "misses, queue depth %lld at admit\n",
-          static_cast<long long>(query_stats.tasks_stolen),
-          static_cast<long long>(query_stats.affinity_hits),
-          static_cast<long long>(query_stats.affinity_misses),
-          static_cast<long long>(query_stats.queue_depth_at_admit));
+      std::printf("             sched: queue depth %lld at admit\n",
+                  static_cast<long long>(query_stats.queue_depth_at_admit));
       std::printf(
           "             pruning: %lld SIP, %lld zone-map skips, %lld Bloom\n",
           static_cast<long long>(query_stats.sip_rows_pruned),

@@ -126,11 +126,6 @@ int main(int argc, char** argv) {
         static_cast<unsigned long long>(status.protocol_errors),
         status.draining ? " (draining)" : "");
     std::printf(
-        "scheduling: %llu tasks stolen, affinity %llu hits / %llu misses\n",
-        static_cast<unsigned long long>(status.tasks_stolen),
-        static_cast<unsigned long long>(status.affinity_hits),
-        static_cast<unsigned long long>(status.affinity_misses));
-    std::printf(
         "pruning: %llu rows SIP-pruned, %llu zone-map skips\n",
         static_cast<unsigned long long>(status.sip_rows_pruned),
         static_cast<unsigned long long>(status.zone_map_skips));

@@ -112,8 +112,8 @@ int main(int argc, char** argv) {
   gyo::Relation universal = gyo::RandomUniversal(d.Universe(), 64, 6, rng);
   std::vector<gyo::Relation> states = gyo::ProjectDatabase(universal, d);
   gyo::Relation reference = gyo::EvaluateJoinQuery(d, x, states);
-  // Collect per-query stats so PrintPoolStatus can report the scheduling
-  // counters (steals, affinity hits/misses) of the last query below.
+  // Collect per-query stats so PrintPoolStatus can report the admission
+  // queue depth and pruning counters of the last query below.
   gyo::exec::QueryStats query_stats;
   if (ctx.threads != 1) ctx.query_stats = &query_stats;
   gyo::Relation via_full = gyo::exec::Run(full, states, ctx);

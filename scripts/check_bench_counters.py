@@ -59,16 +59,15 @@ CHECKED_PREFIXES = ("reduced_rows", "fixpoint_rows")
 # meaning-of-a-zero) rules. These are behaviors the benches exist to
 # demonstrate but whose exact magnitudes are scheduling- or host-dependent,
 # so no exact pin is possible:
-#   * tasks_stolen on the deliberately skewed StealImbalance family — a
-#     family-wide zero means the hot partition serialized on one deque.
 #   * requests_shed on the serve Overload bench — a zero means an
 #     over-offered gyo_serve stopped shedding, i.e. backpressure is off and
 #     overload degrades into unbounded queueing.
 # Each sign check is aggregated over every benchmark the substring matches
 # (summed across thread-count args) because any single configuration can
 # legitimately come up zero in a fast run, while a family-wide zero means
-# the mechanism is off. Baselines recorded on hosts where the behavior never
-# triggered leave the constraint vacuous.
+# the mechanism is off. A rule holds whenever its family is in the baseline,
+# whatever the baseline's own sum: a baseline recorded while the behavior
+# never triggered must not make the rule vacuous.
 #   * plan_cache_hits on the bench_incremental repeat family — the bench
 #     warms the plan cache and then looks up the identical query, so a zero
 #     means the hit path is broken (every lookup silently degraded to a
@@ -80,8 +79,6 @@ CHECKED_PREFIXES = ("reduced_rows", "fixpoint_rows")
 #   * zone_map_skips on the ZoneMap family — its disjoint half guarantees
 #     the skip; a zero means Semijoin stopped consulting the zone maps.
 POSITIVE_RULES = (
-    ("StealImbalance", "tasks_stolen",
-     "work stealing no longer triggers on the skewed partition"),
     ("SipStar", "sip_rows_pruned",
      "sideways information passing no longer prunes the star chain"),
     ("ZoneMap", "zone_map_skips",
@@ -204,10 +201,10 @@ def main() -> int:
                             f"{fresh_t * 1e3:.3f} ms")
         for (substring, counter, meaning), (want_sum, got_sum) in sorted(
                 positive_sums.items()):
-            if want_sum > 0 and got_sum <= 0:
+            if got_sum <= 0:
                 failures.append(
                     f"{baseline_path.name}: {counter} summed over the "
-                    f"'{substring}' family dropped to zero (baseline sum "
+                    f"'{substring}' family is zero (baseline sum "
                     f"{want_sum:g}): {meaning}")
         for bench_name in sorted(set(fresh) - set(baseline)):
             print(f"note: {baseline_path.name}: new benchmark "

@@ -50,21 +50,13 @@ struct QueryStats {
   /// results; this counts saved work only.
   int64_t probe_rows_pruned = 0;
 
-  /// Scheduler jobs of this query executed by a thread other than the one
-  /// whose deque held them (work stealing under imbalance; 0 = perfect
-  /// locality and always 0 on serial runs). Scheduling-dependent, so
-  /// reproducible only up to placement — never pinned as a correctness
-  /// counter.
+  /// Always 0. These three counters measured work stealing and partition
+  /// affinity, which the single shared-queue scheduler no longer has; the
+  /// fields stay only because perfbench/loadgen reads them (and so reports
+  /// exec.tasks_stolen / exec.affinity_hit_ratio as 0). Nothing writes them
+  /// and the wire carries none of them.
   int64_t tasks_stolen = 0;
-
-  /// Affinity-tagged probe/dedupe morsels that ran on the worker that built
-  /// their partition (the cache-resident case). hits + misses equals the
-  /// number of affinity-tagged morsels dispatched; the split between them is
-  /// scheduling-dependent.
   int64_t affinity_hits = 0;
-
-  /// Affinity-tagged morsels that ran on some other thread (stolen, or
-  /// claimed by the query's own caller thread).
   int64_t affinity_misses = 0;
 
   /// Queries already waiting in the admission controller when this query

@@ -271,12 +271,6 @@ QueryStats ExecutorPool::Admission::Finish() {
   stats.run_time_seconds = run_time_seconds_;
   stats.tasks = tasks_.load(std::memory_order_relaxed);
   stats.morsels = morsels_.load(std::memory_order_relaxed);
-  stats.tasks_stolen =
-      steal_stats_->tasks_stolen.load(std::memory_order_relaxed);
-  stats.affinity_hits =
-      steal_stats_->affinity_hits.load(std::memory_order_relaxed);
-  stats.affinity_misses =
-      steal_stats_->affinity_misses.load(std::memory_order_relaxed);
   stats.queue_depth_at_admit = queue_depth_at_admit_;
   return stats;
 }

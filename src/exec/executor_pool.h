@@ -49,8 +49,8 @@ class ExecutorPool {
     int max_concurrent_queries = 0;
 
     /// Passed through to TaskScheduler::Options::worker0_start_delay_ms —
-    /// the steal-storm test hook (worker 0 parks before its first pop so
-    /// other threads must steal). 0 = off; tests only.
+    /// the test hook that parks worker 0 before its first pop, so the other
+    /// threads must run the work. 0 = off; tests only.
     int worker0_start_delay_ms = 0;
 
     /// Default admission deadline for TryAdmit: a query still waiting for a
@@ -125,20 +125,6 @@ class ExecutorPool {
     /// Incremented by the operator kernels via OpExecOpts::morsel_counter.
     std::atomic<int64_t>& morsel_counter() { return morsels_; }
 
-    /// This query's scheduling counters (steals, affinity hits/misses).
-    /// The exec runtime hands this to RunGraph and the operator kernels via
-    /// OpExecOpts::steal_stats; Finish() snapshots it into QueryStats.
-    /// Shared ownership: queued jobs co-own the counters, so a job drained
-    /// after this Admission dies (a no-op morsel left in a parked worker's
-    /// deque) never writes through a dangling pointer.
-    const std::shared_ptr<StealStats>& steal_stats() const {
-      return steal_stats_;
-    }
-
-    /// Admission-queue wait of this query — the input to the scheduler's
-    /// cross-query priority aging (TaskScheduler::AgedPriority).
-    double queue_wait_seconds() const { return queue_wait_seconds_; }
-
     /// Records the query as finished (run_time stops here; idempotent) and
     /// returns the stats snapshot.
     QueryStats Finish();
@@ -162,7 +148,6 @@ class ExecutorPool {
     int64_t queue_depth_at_admit_;
     std::atomic<int64_t> tasks_{0};
     std::atomic<int64_t> morsels_{0};
-    std::shared_ptr<StealStats> steal_stats_ = std::make_shared<StealStats>();
     bool finished_ = false;
     double run_time_seconds_ = 0.0;
   };

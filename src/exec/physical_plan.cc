@@ -282,18 +282,12 @@ class StateTracker {
 // gets a plan-level priority — the length of its longest downstream
 // dependency chain — so critical-path statements dispatch first when many
 // statements (or many queries) compete for the pool.
-// `steal_stats` (may be null) receives the query's scheduling counters, and
-// `initial_age_seconds` — the admission-queue wait — ages every statement's
-// priority (TaskScheduler::AgedPriority) so a long-queued query's tail is
-// not starved by deeper plans admitted earlier.
 void RunStatements(const Program& program,
                    const std::vector<std::vector<int>>& deps,
                    const std::vector<SipFilter>& sip,
                    std::vector<Relation>& states, TaskScheduler& scheduler,
                    const OpExecOpts& op_opts,
-                   std::vector<int64_t>& rows_produced, StateTracker& tracker,
-                   const std::shared_ptr<StealStats>& steal_stats,
-                   double initial_age_seconds) {
+                   std::vector<int64_t>& rows_produced, StateTracker& tracker) {
   const int num_base = program.num_base();
   const int num_statements = program.NumStatements();
 
@@ -388,7 +382,7 @@ void RunStatements(const Program& program,
         filter_priority);
     for (int c : sf->consumers) graph.AddDependency(c, task);
   }
-  scheduler.RunGraph(graph, steal_stats, initial_age_seconds);
+  scheduler.RunGraph(graph);
 }
 
 // Shared execution body: used by PhysicalPlan::Execute (compiled plan) and
@@ -473,30 +467,14 @@ std::vector<Relation> ExecuteImpl(const Program& program,
   StateTracker tracker(states, ctx.retire_consumed, *seed_counts,
                        ctx.retain_states);
 
-  if (admitted != nullptr) {
-    // Pre-admitted path (exec::ExecuteAdmitted): the caller already holds a
-    // slot — granted by TryAdmit after its deadline/backlog checks — so the
-    // query goes straight onto the admission's pool, even a width-1 one
-    // (the concurrency cap must keep holding; the caller participates in
-    // execution either way).
-    ExecutorPool::Admission& admission = *admitted;
-    op_opts.scheduler = &admission.scheduler();
-    op_opts.morsel_counter = &admission.morsel_counter();
-    op_opts.steal_stats = admission.steal_stats();
-    RunStatements(program, deps, sip, states, admission.scheduler(), op_opts,
-                  rows_produced, tracker, admission.steal_stats(),
-                  admission.queue_wait_seconds());
-    admission.AddTasks(num_statements);
-    if (ctx.query_stats != nullptr) *ctx.query_stats = admission.Finish();
-  } else if (ctx.threads == 1) {
+  if (admitted == nullptr && ctx.threads == 1) {
     // Serial specialization (Program::Execute's path): inline execution on
     // the calling thread, no shared pool, no admission control.
     const auto started = std::chrono::steady_clock::now();
     TaskScheduler serial(1);
     op_opts.scheduler = &serial;
     RunStatements(program, deps, sip, states, serial, op_opts, rows_produced,
-                  tracker, /*steal_stats=*/nullptr,
-                  /*initial_age_seconds=*/0.0);
+                  tracker);
     if (ctx.query_stats != nullptr) {
       *ctx.query_stats = QueryStats();
       ctx.query_stats->run_time_seconds =
@@ -506,20 +484,26 @@ std::vector<Relation> ExecuteImpl(const Program& program,
       ctx.query_stats->tasks = num_statements;
     }
   } else {
-    // Multi-tenant path: admission into the shared pool (ctx.pool, or the
-    // process-wide one), then the query's graph runs on the pool's workers
-    // concurrently with other admitted queries.
-    ExecutorPool& pool =
-        ctx.pool != nullptr ? *ctx.pool : ExecutorPool::Global();
-    ExecutorPool::Admission admission = pool.Admit(ctx.submitter);
-    op_opts.scheduler = &admission.scheduler();
-    op_opts.morsel_counter = &admission.morsel_counter();
-    op_opts.steal_stats = admission.steal_stats();
-    RunStatements(program, deps, sip, states, admission.scheduler(), op_opts,
-                  rows_produced, tracker, admission.steal_stats(),
-                  admission.queue_wait_seconds());
-    admission.AddTasks(num_statements);
-    if (ctx.query_stats != nullptr) *ctx.query_stats = admission.Finish();
+    // Admitted path. Either the caller already holds a slot
+    // (exec::ExecuteAdmitted: granted by TryAdmit after its deadline/backlog
+    // checks, so the query goes onto the admission's pool even at width 1 —
+    // the concurrency cap must keep holding), or the query is admitted here
+    // into the shared pool (ctx.pool, or the process-wide one). Either way
+    // its graph runs on the pool's workers concurrently with other admitted
+    // queries, and the caller participates.
+    std::unique_ptr<ExecutorPool::Admission> owned;
+    if (admitted == nullptr) {
+      ExecutorPool& pool =
+          ctx.pool != nullptr ? *ctx.pool : ExecutorPool::Global();
+      owned.reset(new ExecutorPool::Admission(pool.Admit(ctx.submitter)));
+      admitted = owned.get();
+    }
+    op_opts.scheduler = &admitted->scheduler();
+    op_opts.morsel_counter = &admitted->morsel_counter();
+    RunStatements(program, deps, sip, states, admitted->scheduler(), op_opts,
+                  rows_produced, tracker);
+    admitted->AddTasks(num_statements);
+    if (ctx.query_stats != nullptr) *ctx.query_stats = admitted->Finish();
   }
   if (ctx.query_stats != nullptr) {
     ctx.query_stats->peak_state_bytes = tracker.peak_bytes();

@@ -1,7 +1,9 @@
 #include "exec/task_scheduler.h"
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
+#include <limits>
 
 #include "util/check.h"
 
@@ -12,19 +14,8 @@ namespace {
 
 // ParallelFor morsels dispatch above every graph-task priority: finishing an
 // operator already in flight shortens the makespan more than starting a new
-// statement. Aged graph priorities stay below this (plan priorities are
-// small and AgingBoost is capped), so the invariant survives aging.
+// statement.
 constexpr int kMorselPriority = std::numeric_limits<int>::max();
-
-// Which pool (if any) owns the current thread, and as which worker. One
-// thread belongs to at most one scheduler for its lifetime, so a plain
-// thread_local pair suffices; external threads keep the {nullptr, -1}
-// default.
-struct WorkerTls {
-  const TaskScheduler* scheduler = nullptr;
-  int index = -1;
-};
-thread_local WorkerTls tls_worker;
 
 }  // namespace
 
@@ -72,35 +63,18 @@ int TaskGraph::CriticalPathLength() const {
   return best;
 }
 
-// One worker's priority-bucketed deque. The owner pushes and pops at the
-// back of the top bucket (LIFO — the hot-in-cache end); thieves pop at the
-// front (FIFO — the oldest, coldest job). `top` caches the highest occupied
-// bucket priority so thieves can rank victims without taking every lock;
-// it is maintained under `mu`, read racily as a hint, and verified by the
-// locked pop itself.
-struct TaskScheduler::WorkerDeque {
-  std::mutex mu;
-  std::map<int, std::deque<Job>, std::greater<int>> buckets;
-  std::atomic<int> top{kEmptyPriority};
-};
-
 // Shared state of one RunGraph invocation. Jobs capture it by shared_ptr so
-// a worker finishing the final task can still use the mutex/cv safely while
-// the caller's RunGraph frame unwinds. Every concurrent RunGraph invocation
-// owns one of these, which is what keeps independent graphs independent:
-// dependency counters, the completion signal, the steal tally, and the
-// aging boost are all graph-scoped; only the job queues are shared.
+// a job still queued or running when the caller's RunGraph frame unwinds
+// never dangles. Every concurrent RunGraph invocation owns one of these,
+// which is what keeps independent graphs independent: dependency counters
+// and the completion count are graph-scoped; only the job queue is shared.
 struct TaskScheduler::GraphRunState {
   TaskGraph* graph = nullptr;
   // Cached graph->NumTasks(): the final done increment releases the caller
   // to destroy the graph, so nothing may dereference `graph` after it.
   int num_tasks = 0;
-  std::shared_ptr<StealStats> stats;
-  int age_boost = 0;  // AgingBoost of the owning query's admission wait
   std::vector<std::atomic<int>> pending;
   std::atomic<int> done{0};
-  std::mutex m;
-  std::condition_variable cv;
   explicit GraphRunState(size_t n) : pending(n) {}
 };
 
@@ -112,10 +86,6 @@ TaskScheduler::TaskScheduler(const Options& options)
       worker0_start_delay_ms_(options.worker0_start_delay_ms) {
   GYO_CHECK_MSG(threads_ >= 1, "scheduler needs at least one thread, got %d",
                 threads_);
-  deques_.reserve(static_cast<size_t>(threads_ - 1));
-  for (int i = 0; i < threads_ - 1; ++i) {
-    deques_.push_back(std::make_unique<WorkerDeque>());
-  }
   workers_.reserve(static_cast<size_t>(threads_ - 1));
   for (int i = 0; i < threads_ - 1; ++i) {
     workers_.emplace_back([this, i] { WorkerLoop(i); });
@@ -128,164 +98,53 @@ TaskScheduler::~TaskScheduler() {
     stopping_ = true;
   }
   queue_cv_.notify_all();
+  park_cv_.notify_all();
   for (std::thread& w : workers_) w.join();
 }
 
-int TaskScheduler::CurrentWorkerIndex() const {
-  return tls_worker.scheduler == this ? tls_worker.index : -1;
-}
-
-void TaskScheduler::Enqueue(int priority, std::function<void()> fn,
-                            int affinity,
-                            const std::shared_ptr<StealStats>& stats) {
-  Job job{std::move(fn), stats};
-  // Count the job before it becomes poppable so the idle-sleep predicate
-  // (jobs_ > 0) never reads 0 while a pushed job is visible in some queue.
-  jobs_.fetch_add(1, std::memory_order_release);
-  int target = -1;
-  if (threads_ > 1) {
-    if (affinity >= 0 && affinity < num_workers()) {
-      target = affinity;
-    } else {
-      target = CurrentWorkerIndex();  // workers keep their spawn local
-    }
-  }
-  if (target >= 0) {
-    PushDeque(target, priority, std::move(job));
-  } else {
-    PushOverflow(priority, std::move(job));
+void TaskScheduler::Enqueue(int priority, Job job) {
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    queue_[priority].push_back(std::move(job));
   }
   queue_cv_.notify_one();
 }
 
-void TaskScheduler::PushDeque(int worker, int priority, Job job) {
-  WorkerDeque& d = *deques_[static_cast<size_t>(worker)];
-  std::lock_guard<std::mutex> lock(d.mu);
-  d.buckets[priority].push_back(std::move(job));
-  d.top.store(d.buckets.begin()->first, std::memory_order_relaxed);
-}
-
-void TaskScheduler::PushOverflow(int priority, Job job) {
-  std::lock_guard<std::mutex> lock(mu_);
-  overflow_[priority].push_back(std::move(job));
-  overflow_top_.store(overflow_.begin()->first, std::memory_order_relaxed);
-}
-
-bool TaskScheduler::PopOwn(int self, Job* out) {
-  WorkerDeque& d = *deques_[static_cast<size_t>(self)];
-  std::lock_guard<std::mutex> lock(d.mu);
-  if (d.buckets.empty()) return false;
-  std::deque<Job>& bucket = d.buckets.begin()->second;
-  *out = std::move(bucket.back());
-  bucket.pop_back();
-  if (bucket.empty()) d.buckets.erase(d.buckets.begin());
-  d.top.store(d.buckets.empty() ? kEmptyPriority : d.buckets.begin()->first,
-              std::memory_order_relaxed);
-  jobs_.fetch_sub(1, std::memory_order_acq_rel);
-  return true;
-}
-
-bool TaskScheduler::StealFrom(int victim, Job* out) {
-  WorkerDeque& d = *deques_[static_cast<size_t>(victim)];
-  std::lock_guard<std::mutex> lock(d.mu);
-  if (d.buckets.empty()) return false;
-  std::deque<Job>& bucket = d.buckets.begin()->second;
-  *out = std::move(bucket.front());
+TaskScheduler::Job TaskScheduler::PopLocked() {
+  std::deque<Job>& bucket = queue_.begin()->second;
+  Job job = std::move(bucket.front());
   bucket.pop_front();
-  if (bucket.empty()) d.buckets.erase(d.buckets.begin());
-  d.top.store(d.buckets.empty() ? kEmptyPriority : d.buckets.begin()->first,
-              std::memory_order_relaxed);
-  jobs_.fetch_sub(1, std::memory_order_acq_rel);
-  return true;
-}
-
-bool TaskScheduler::PopOverflow(Job* out) {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (overflow_.empty()) return false;
-  std::deque<Job>& bucket = overflow_.begin()->second;
-  *out = std::move(bucket.front());
-  bucket.pop_front();
-  if (bucket.empty()) overflow_.erase(overflow_.begin());
-  overflow_top_.store(
-      overflow_.empty() ? kEmptyPriority : overflow_.begin()->first,
-      std::memory_order_relaxed);
-  jobs_.fetch_sub(1, std::memory_order_acq_rel);
-  return true;
-}
-
-bool TaskScheduler::AcquireJob(int self, Job* out) {
-  // Own deque first: LIFO, lock uncontended unless a thief is visiting.
-  if (self >= 0 && PopOwn(self, out)) return true;
-  const int nw = num_workers();
-  for (;;) {
-    // Rank sources by their priority hints: the shared overflow queue vs
-    // every other worker's deque top. Overflow wins ties (external
-    // admissions must not starve behind equal-priority local work); victims
-    // tie-break in scan order starting at self + 1.
-    int best_priority = overflow_top_.load(std::memory_order_relaxed);
-    int best_victim = -1;  // -1 = overflow
-    for (int k = 1; k <= nw; ++k) {
-      const int v = self >= 0 ? (self + k) % nw : k - 1;
-      if (v == self) continue;
-      const int p =
-          deques_[static_cast<size_t>(v)]->top.load(std::memory_order_relaxed);
-      if (p > best_priority) {
-        best_priority = p;
-        best_victim = v;
-      }
-    }
-    if (best_priority == kEmptyPriority) return false;
-    if (best_victim < 0) {
-      if (PopOverflow(out)) return true;
-    } else if (StealFrom(best_victim, out)) {
-      if (out->stats != nullptr) {
-        out->stats->tasks_stolen.fetch_add(1, std::memory_order_relaxed);
-      }
-      return true;
-    }
-    // Stale hint — another thread drained that source first. Rescan: every
-    // failed pop reflects a state change, so this terminates.
-  }
+  if (bucket.empty()) queue_.erase(queue_.begin());
+  return job;
 }
 
 void TaskScheduler::WorkerLoop(int index) {
-  tls_worker = WorkerTls{this, index};
+  std::unique_lock<std::mutex> lock(mu_);
   if (index == 0 && worker0_start_delay_ms_ > 0) {
-    // Steal-storm hook: park before the first pop so peers must steal the
-    // work placed on this deque. Shutdown interrupts the park.
-    std::unique_lock<std::mutex> lock(mu_);
-    queue_cv_.wait_for(lock,
-                       std::chrono::milliseconds(worker0_start_delay_ms_),
-                       [this] { return stopping_; });
+    // Test hook: park before the first pop so the other threads must run
+    // the work. A separate condition variable keeps the park from swallowing
+    // a queue_cv_ wakeup meant for a thread that would run the job.
+    park_cv_.wait_for(lock, std::chrono::milliseconds(worker0_start_delay_ms_),
+                      [this] { return stopping_; });
   }
   for (;;) {
-    Job job;
-    if (AcquireJob(index, &job)) {
-      job.fn();
-      continue;
-    }
-    std::unique_lock<std::mutex> lock(mu_);
-    if (stopping_ && jobs_.load(std::memory_order_acquire) == 0) return;
-    // Deque pushes happen outside mu_, so a wakeup can race the sleep
-    // decision; the timed wait bounds a lost notify to 1ms.
-    queue_cv_.wait_for(lock, std::chrono::milliseconds(1), [this] {
-      return stopping_ || jobs_.load(std::memory_order_acquire) > 0;
-    });
+    queue_cv_.wait(lock, [this] { return stopping_ || !queue_.empty(); });
+    if (queue_.empty()) return;  // stopping, and every queued job has run
+    Job job = PopLocked();
+    lock.unlock();
+    job();
+    lock.lock();
   }
 }
 
 void TaskScheduler::EnqueueGraphTask(
     const std::shared_ptr<GraphRunState>& state, int id) {
-  const int priority =
-      state->graph->tasks_[static_cast<size_t>(id)].priority +
-      state->age_boost;
-  Enqueue(
-      priority, [this, state, id] { RunGraphTask(state, id); },
-      /*affinity=*/-1, state->stats);
+  Enqueue(state->graph->tasks_[static_cast<size_t>(id)].priority,
+          [this, state, id] { RunGraphTask(state, id); });
 }
 
 // Executes task `id`: run its fn, release successors whose dependency count
-// hits zero, and notify the RunGraph caller after the final task. The job
+// hits zero, and wake the RunGraph caller after the final task. The job
 // closures capture only `this` and the shared state, never RunGraph's stack.
 void TaskScheduler::RunGraphTask(const std::shared_ptr<GraphRunState>& state,
                                  int id) {
@@ -299,24 +158,15 @@ void TaskScheduler::RunGraphTask(const std::shared_ptr<GraphRunState>& state,
   }
   int finished = state->done.fetch_add(1, std::memory_order_acq_rel) + 1;
   if (finished == state->num_tasks) {
-    std::lock_guard<std::mutex> lock(state->m);
-    state->cv.notify_all();
+    // The caller sleeps on queue_cv_ among the workers, so only notify_all
+    // is sure to reach it. Taking mu_ orders the wakeup after the caller's
+    // predicate check.
+    std::lock_guard<std::mutex> lock(mu_);
+    queue_cv_.notify_all();
   }
 }
 
 void TaskScheduler::RunGraph(TaskGraph& graph) {
-  RunGraphImpl(graph, nullptr, 0);
-}
-
-void TaskScheduler::RunGraph(TaskGraph& graph,
-                             std::shared_ptr<StealStats> stats,
-                             double initial_age_seconds) {
-  RunGraphImpl(graph, std::move(stats), AgingBoost(initial_age_seconds));
-}
-
-void TaskScheduler::RunGraphImpl(TaskGraph& graph,
-                                 std::shared_ptr<StealStats> stats,
-                                 int age_boost) {
   const int n = graph.NumTasks();
   if (n == 0) return;
 
@@ -345,8 +195,6 @@ void TaskScheduler::RunGraphImpl(TaskGraph& graph,
   auto state = std::make_shared<GraphRunState>(static_cast<size_t>(n));
   state->graph = &graph;
   state->num_tasks = n;
-  state->stats = std::move(stats);
-  state->age_boost = age_boost;
   for (int i = 0; i < n; ++i) {
     state->pending[static_cast<size_t>(i)].store(
         graph.tasks_[static_cast<size_t>(i)].num_deps,
@@ -365,34 +213,29 @@ void TaskScheduler::RunGraphImpl(TaskGraph& graph,
     }
   }
 
-  // The caller participates: acquire jobs (this graph's tasks, other
-  // graphs' tasks, ParallelFor morsels — from the overflow queue or stolen
-  // off worker deques) until every task of *this* graph has finished; sleep
-  // briefly only when no work is visible but tasks are still in flight on
-  // other threads.
-  const int self = CurrentWorkerIndex();
+  // The caller participates: it runs queued jobs (this graph's tasks, other
+  // graphs' tasks, ParallelFor morsels) until every task of *this* graph has
+  // finished, and sleeps only while the queue is empty and tasks are still
+  // in flight on other threads.
+  std::unique_lock<std::mutex> lock(mu_);
   for (;;) {
-    if (state->done.load(std::memory_order_acquire) == n) break;
-    Job job;
-    if (AcquireJob(self, &job)) {
-      job.fn();
-      continue;
-    }
-    std::unique_lock<std::mutex> lock(state->m);
-    state->cv.wait_for(lock, std::chrono::milliseconds(1), [&] {
-      return state->done.load(std::memory_order_acquire) == n;
+    queue_cv_.wait(lock, [&] {
+      return state->done.load(std::memory_order_acquire) == n ||
+             !queue_.empty();
     });
+    if (state->done.load(std::memory_order_acquire) == n) break;
+    Job job = PopLocked();
+    lock.unlock();
+    job();
+    lock.lock();
   }
+  // The wakeup that ended the wait may have been an Enqueue's notify_one,
+  // meant for a thread that would run the job; pass it on.
+  if (!queue_.empty()) queue_cv_.notify_one();
 }
 
 void TaskScheduler::ParallelFor(int64_t num_chunks,
                                 const std::function<void(int64_t)>& body) {
-  ParallelFor(num_chunks, body, nullptr);
-}
-
-void TaskScheduler::ParallelFor(int64_t num_chunks,
-                                const std::function<void(int64_t)>& body,
-                                std::shared_ptr<StealStats> stats) {
   if (num_chunks <= 0) return;
   if (threads_ == 1 || num_chunks == 1) {
     for (int64_t c = 0; c < num_chunks; ++c) body(c);
@@ -435,110 +278,13 @@ void TaskScheduler::ParallelFor(int64_t num_chunks,
       std::min<int64_t>(static_cast<int64_t>(threads_) - 1, num_chunks - 1);
   for (int64_t h = 0; h < helpers; ++h) {
     std::shared_ptr<PFState> st = state;
-    Enqueue(
-        kMorselPriority, [st, claim_loop] { claim_loop(st.get()); },
-        /*affinity=*/-1, stats);
+    Enqueue(kMorselPriority, [st, claim_loop] { claim_loop(st.get()); });
   }
 
   claim_loop(state.get());
 
   // Every chunk is claimed by now (the caller's loop exits only on counter
   // exhaustion); wait for helpers to finish their in-flight chunks.
-  std::unique_lock<std::mutex> lock(state->m);
-  state->cv.wait(lock, [&] {
-    return state->done.load(std::memory_order_acquire) == num_chunks;
-  });
-}
-
-void TaskScheduler::ParallelForAffine(int64_t num_chunks,
-                                      const std::function<void(int64_t)>& body,
-                                      const std::vector<int>& affinity,
-                                      std::shared_ptr<StealStats> stats) {
-  GYO_CHECK_MSG(static_cast<int64_t>(affinity.size()) == num_chunks,
-                "affinity list has %lld entries for %lld chunks",
-                static_cast<long long>(affinity.size()),
-                static_cast<long long>(num_chunks));
-  if (num_chunks <= 0) return;
-  if (threads_ == 1 || num_chunks == 1) {
-    for (int64_t c = 0; c < num_chunks; ++c) body(c);
-    return;
-  }
-
-  // One job per chunk, placed on its affinity worker's deque (overflow when
-  // unpreferenced), each guarded by a claim flag: the placed job and any
-  // claiming peer race on the CAS and exactly one runs the body. The caller
-  // sweeps the flags itself, so completion never depends on worker
-  // availability, and late jobs for already-claimed chunks no-op (they hold
-  // the state alive via shared_ptr, so late execution is harmless).
-  struct AffineState {
-    std::unique_ptr<std::atomic<uint8_t>[]> claimed;
-    std::atomic<int64_t> done{0};
-    int64_t chunks = 0;
-    const std::function<void(int64_t)>* body = nullptr;
-    const std::vector<int>* affinity = nullptr;
-    std::shared_ptr<StealStats> stats;
-    const TaskScheduler* scheduler = nullptr;
-    std::mutex m;
-    std::condition_variable cv;
-  };
-  auto state = std::make_shared<AffineState>();
-  state->claimed =
-      std::make_unique<std::atomic<uint8_t>[]>(static_cast<size_t>(num_chunks));
-  for (int64_t c = 0; c < num_chunks; ++c) {
-    state->claimed[static_cast<size_t>(c)].store(0, std::memory_order_relaxed);
-  }
-  state->chunks = num_chunks;
-  state->body = &body;
-  state->affinity = &affinity;
-  state->stats = stats;
-  state->scheduler = this;
-
-  // Claims and runs chunk `c`; false when someone else got there first.
-  // Affinity accounting happens here, against the thread that actually ran
-  // the body.
-  auto run_chunk = [](AffineState* s, int64_t c) -> bool {
-    uint8_t expected = 0;
-    if (!s->claimed[static_cast<size_t>(c)].compare_exchange_strong(
-            expected, 1, std::memory_order_acq_rel)) {
-      return false;
-    }
-    (*s->body)(c);
-    if (s->stats != nullptr) {
-      const int want = (*s->affinity)[static_cast<size_t>(c)];
-      if (want >= 0 && want < s->scheduler->num_workers()) {
-        if (want == s->scheduler->CurrentWorkerIndex()) {
-          s->stats->affinity_hits.fetch_add(1, std::memory_order_relaxed);
-        } else {
-          s->stats->affinity_misses.fetch_add(1, std::memory_order_relaxed);
-        }
-      }
-    }
-    if (s->done.fetch_add(1, std::memory_order_acq_rel) + 1 == s->chunks) {
-      std::lock_guard<std::mutex> lock(s->m);
-      s->cv.notify_all();
-    }
-    return true;
-  };
-
-  for (int64_t c = 0; c < num_chunks; ++c) {
-    std::shared_ptr<AffineState> st = state;
-    Enqueue(
-        kMorselPriority, [st, run_chunk, c] { run_chunk(st.get(), c); },
-        affinity[static_cast<size_t>(c)], stats);
-  }
-
-  // The caller participates: its own-affinity chunks first (it IS the
-  // preferred executor for those), then every still-unclaimed chunk in
-  // increasing order — the far end from the owners' LIFO pops, so caller
-  // and owners mostly meet in the middle instead of colliding per chunk.
-  const int self = CurrentWorkerIndex();
-  for (int64_t c = 0; c < num_chunks; ++c) {
-    if (affinity[static_cast<size_t>(c)] == self) run_chunk(state.get(), c);
-  }
-  for (int64_t c = 0; c < num_chunks; ++c) {
-    run_chunk(state.get(), c);
-  }
-
   std::unique_lock<std::mutex> lock(state->m);
   state->cv.wait(lock, [&] {
     return state->done.load(std::memory_order_acquire) == num_chunks;

@@ -1,12 +1,10 @@
 #ifndef GYO_EXEC_TASK_SCHEDULER_H_
 #define GYO_EXEC_TASK_SCHEDULER_H_
 
-#include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <limits>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -15,28 +13,6 @@
 
 namespace gyo {
 namespace exec {
-
-/// Per-query scheduling counters, fed by the work-stealing scheduler and
-/// surfaced through QueryStats. All relaxed atomics: the counts are tallies,
-/// not synchronization. Always handled via shared_ptr: queued jobs co-own
-/// the counters, so a job that outlives its query (e.g. a no-op morsel left
-/// in a parked worker's deque after every chunk was claimed elsewhere) can
-/// still be tallied safely when it is finally drained.
-struct StealStats {
-  /// Jobs executed by a thread other than the one whose deque held them
-  /// (any pop from a foreign worker deque; shared-overflow pops are not
-  /// steals). 0 means perfect locality — every job ran where it was placed.
-  std::atomic<int64_t> tasks_stolen{0};
-
-  /// Affinity-tagged chunks (ParallelForAffine) that ran on their preferred
-  /// worker — the one whose cache holds the partition the chunk probes.
-  std::atomic<int64_t> affinity_hits{0};
-
-  /// Affinity-tagged chunks that ran elsewhere (stolen under imbalance, or
-  /// claimed by the participating caller). hits + misses equals the number
-  /// of affinity-tagged chunks dispatched.
-  std::atomic<int64_t> affinity_misses{0};
-};
 
 /// A dependency-counting task DAG, built once and handed to
 /// TaskScheduler::RunGraph. Tasks are identified by the dense int returned
@@ -77,61 +53,43 @@ class TaskGraph {
 /// A fixed pool of worker threads executing dependency-ordered task DAGs and
 /// morsel-style parallel loops. This is the core of the exec subsystem: the
 /// PhysicalPlan runtime maps program statements onto RunGraph (statement-level
-/// parallelism) and the rel/ops kernels call ParallelFor / ParallelForAffine
-/// from inside those tasks (intra-operator morsel parallelism).
+/// parallelism) and the rel/ops kernels call ParallelFor from inside those
+/// tasks (intra-operator morsel parallelism).
 ///
-/// Scheduling is work-stealing with priority hints. Each worker owns a
-/// priority-bucketed deque: jobs a worker creates (graph successors it
-/// releases, morsel helpers it fans out) push onto its own deque and pop
-/// back LIFO — the hot-in-cache order — while idle threads steal FIFO from
-/// the opposite end, taking the oldest (coldest) job. A shared overflow
-/// queue carries work from outside the pool: external RunGraph callers
-/// (cross-graph admission from the ExecutorPool) seed their graphs there,
-/// and affinity-less jobs from external threads land there too. A thread
-/// out of local work takes the highest-priority job visible across the
-/// overflow queue and every other worker's deque-top hint (overflow wins
-/// ties so external admissions cannot starve behind equal-priority local
-/// work; victims tie-break in scan order from the thief's index + 1).
-///
-/// ParallelForAffine adds sticky placement on top of stealing: each chunk
-/// carries a preferred worker (the one that built the partition the chunk
-/// probes) and is pushed to that worker's deque, so the partition is probed
-/// by the thread whose cache holds it — but remains stealable, so imbalance
-/// never serializes on one hot deque. StealStats counts how often placement
-/// held (affinity_hits) and how often work moved (tasks_stolen,
-/// affinity_misses).
-///
-/// ParallelFor morsels run above every graph priority, so in-flight
-/// operators finish before new statements start.
+/// Scheduling is one shared priority queue: a mutex-guarded map of FIFO
+/// buckets, highest priority first, drained by the workers and by every
+/// participating caller (morsel-driven dispatch, Leis et al., SIGMOD 2014).
+/// Ready graph tasks enter at their TaskGraph priority; ParallelFor morsels
+/// enter above every graph priority, so in-flight operators finish before
+/// new statements start.
 ///
 /// Multiple independent TaskGraphs may be in flight at once: RunGraph may be
 /// called concurrently from any number of external threads (one per query in
 /// the ExecutorPool). Each invocation carries its own graph-scoped dependency
-/// counters and completion signal — every caller participates in execution,
+/// counters and completion count — every caller participates in execution,
 /// so a graph always completes even when all workers are busy with other
-/// graphs. The aged RunGraph overload adds cross-query priority aging:
-/// a query that waited in the admission queue gets a bounded priority boost
-/// (AgedPriority), so a deep plan admitted earlier cannot starve a
-/// long-queued short query's tail.
+/// graphs. Priorities compare across graphs: a ready high-priority task of a
+/// later graph dispatches before a ready lower-priority task of an earlier
+/// one.
 ///
 /// Determinism: scheduling only decides WHERE a job runs. Result bytes are
-/// governed by the kernels' morsel-indexed merges, so stealing and affinity
-/// placement never change deterministic-mode output.
+/// governed by the kernels' morsel-indexed merges, so dispatch order never
+/// changes deterministic-mode output.
 ///
-/// threads == 1 is the serial specialization: no worker threads are spawned,
-/// every job routes through the overflow queue, and both modes execute
-/// inline on the calling thread in deterministic (priority bucket, then
-/// FIFO / loop) order. Program::Execute runs on exactly this path.
+/// threads == 1 is the serial specialization: no worker threads are spawned
+/// and every job executes inline on the calling thread in deterministic
+/// (priority bucket, then FIFO / loop) order. Program::Execute runs on
+/// exactly this path.
 class TaskScheduler {
  public:
   struct Options {
     /// Pool width (callers participate as the extra thread). Must be >= 1.
     int threads = 1;
 
-    /// Steal-storm test hook: worker 0 parks for this long before its first
-    /// pop (interruptible by shutdown), so with real work in flight the
-    /// other threads MUST steal. 0 (default) = off. Production code never
-    /// sets this; the bit-identical-under-stealing property tests do.
+    /// Test hook: worker 0 parks for this long before its first pop
+    /// (interruptible by shutdown), so with real work in flight the other
+    /// threads and the callers must run it. 0 (default) = off. Production
+    /// code never sets this; the bit-identity and priority tests do.
     int worker0_start_delay_ms = 0;
   };
 
@@ -146,47 +104,12 @@ class TaskScheduler {
 
   int threads() const { return threads_; }
 
-  /// Worker deques (threads() - 1): valid affinity targets are
-  /// [0, num_workers()); -1 means "no preference" (shared overflow).
-  int num_workers() const { return threads_ - 1; }
-
-  /// The calling thread's worker index in this pool, or -1 for threads the
-  /// pool does not own (external RunGraph callers included). Kernels use it
-  /// to record which worker built a partition.
-  int CurrentWorkerIndex() const;
-
-  /// Cross-query priority aging: the effective priority of a task whose
-  /// query waited `wait_seconds` in the admission queue before running.
-  /// One priority level per kAgingQuantumSeconds of wait, capped at
-  /// kMaxAgingBoost so aged tasks can never outrank ParallelFor morsels or
-  /// leapfrog a genuinely deeper critical path by more than the cap.
-  static constexpr double kAgingQuantumSeconds = 0.002;
-  static constexpr int kMaxAgingBoost = 8;
-
-  static int AgingBoost(double wait_seconds) {
-    if (wait_seconds <= 0.0) return 0;
-    const double quanta = wait_seconds / kAgingQuantumSeconds;
-    if (quanta >= static_cast<double>(kMaxAgingBoost)) return kMaxAgingBoost;
-    return static_cast<int>(quanta);
-  }
-
-  static int AgedPriority(int priority, double wait_seconds) {
-    return priority + AgingBoost(wait_seconds);
-  }
-
   /// Runs every task of `graph` respecting its dependencies; blocks until
   /// all have finished. The calling thread participates in execution. Must
   /// not be called from inside a task, but may be called concurrently from
   /// any number of distinct external threads. Each TaskGraph may be run
   /// once.
   void RunGraph(TaskGraph& graph);
-
-  /// RunGraph with scheduling stats and priority aging: every task
-  /// dispatches at AgedPriority(task priority, initial_age_seconds) — the
-  /// admission queue wait of the owning query — and steal counts feed
-  /// `stats` (may be null).
-  void RunGraph(TaskGraph& graph, std::shared_ptr<StealStats> stats,
-                double initial_age_seconds);
 
   /// Runs body(chunk) for every chunk in [0, num_chunks), distributing
   /// chunks over the pool via an atomic claim counter (morsel dispatch);
@@ -197,71 +120,31 @@ class TaskScheduler {
   /// inline in increasing chunk order.
   void ParallelFor(int64_t num_chunks,
                    const std::function<void(int64_t)>& body);
-  void ParallelFor(int64_t num_chunks, const std::function<void(int64_t)>& body,
-                   std::shared_ptr<StealStats> stats);
-
-  /// Affinity-placed variant: chunk c is pushed to worker affinity[c]'s
-  /// deque (values outside [0, num_workers()) mean no preference), where
-  /// the owner pops it LIFO — or any other thread steals it under
-  /// imbalance. Completion never depends on worker availability: every
-  /// chunk is guarded by a claim flag and the caller claims unclaimed
-  /// chunks itself (its own-affinity chunks first, then the rest in
-  /// increasing order — the far end from the owners' LIFO pops). Chunk
-  /// execution order is unspecified; with threads() == 1 the loop runs
-  /// inline in increasing chunk order. `stats` (may be null) receives
-  /// steal counts plus one affinity hit or miss per affinity-tagged chunk.
-  void ParallelForAffine(int64_t num_chunks,
-                         const std::function<void(int64_t)>& body,
-                         const std::vector<int>& affinity,
-                         std::shared_ptr<StealStats> stats);
 
  private:
-  struct Job {
-    std::function<void()> fn;
-    // Steal tally for this job, may be null. Shared ownership: a job drained
-    // after its query finished still points at live counters.
-    std::shared_ptr<StealStats> stats;
-  };
-  struct WorkerDeque;
+  using Job = std::function<void()>;
   struct GraphRunState;  // shared state of one RunGraph invocation
 
-  static constexpr int kEmptyPriority = std::numeric_limits<int>::min();
-
-  /// Places a job: affinity target's deque when valid, else the calling
-  /// worker's own deque, else the shared overflow queue (always overflow at
-  /// threads == 1, preserving the pinned serial drain order).
-  void Enqueue(int priority, std::function<void()> fn, int affinity,
-               const std::shared_ptr<StealStats>& stats);
-  void PushDeque(int worker, int priority, Job job);
-  void PushOverflow(int priority, Job job);
-  bool PopOwn(int self, Job* out);       // LIFO from own deque
-  bool StealFrom(int victim, Job* out);  // FIFO from a victim's deque
-  bool PopOverflow(Job* out);
-  /// The full acquire order for thread `self` (-1 = external): own deque,
-  /// then the highest-priority source among overflow and victim hints.
-  bool AcquireJob(int self, Job* out);
+  void Enqueue(int priority, Job job);
+  /// Pops the front of the highest-priority bucket; mu_ must be held and
+  /// queue_ non-empty.
+  Job PopLocked();
   void WorkerLoop(int index);
   void EnqueueGraphTask(const std::shared_ptr<GraphRunState>& state, int id);
   void RunGraphTask(const std::shared_ptr<GraphRunState>& state, int id);
-  void RunGraphImpl(TaskGraph& graph, std::shared_ptr<StealStats> stats,
-                    int age_boost);
 
   const int threads_;
   const int worker0_start_delay_ms_;
-  std::vector<std::unique_ptr<WorkerDeque>> deques_;  // one per worker
   std::vector<std::thread> workers_;
 
-  /// Jobs currently queued anywhere (deques + overflow). Incremented before
-  /// a push, decremented on pop, so a non-zero count is visible before the
-  /// job is; the idle-sleep predicate reads it without touching any deque.
-  std::atomic<int64_t> jobs_{0};
-
-  std::mutex mu_;  // guards overflow_ and the idle sleep
+  std::mutex mu_;  // guards queue_ and stopping_
+  // Wakes workers and participating RunGraph callers: a job was queued, a
+  // graph finished, or the pool is stopping.
   std::condition_variable queue_cv_;
-  // Overflow priority buckets, highest first; each bucket drains FIFO.
-  // Emptied buckets are erased so begin() is always the top priority.
-  std::map<int, std::deque<Job>, std::greater<int>> overflow_;
-  std::atomic<int> overflow_top_{kEmptyPriority};  // steal-order hint
+  std::condition_variable park_cv_;  // ends worker 0's test-hook park early
+  // Priority buckets, highest first; each bucket drains FIFO. Emptied
+  // buckets are erased so begin() is always the top priority.
+  std::map<int, std::deque<Job>, std::greater<int>> queue_;
   bool stopping_ = false;
 };
 

@@ -285,7 +285,7 @@ struct RadixScatter {
       for (int64_t i = lo; i < hi; ++i) {
         ++mine[PartitionOf(hashes[static_cast<size_t>(i)], bits)];
       }
-    }, opts.steal_stats);
+    });
     std::vector<int64_t> cursors(static_cast<size_t>(morsels * parts));
     part_begin.resize(static_cast<size_t>(parts) + 1);
     int64_t off = 0;
@@ -306,7 +306,7 @@ struct RadixScatter {
         const size_t p = PartitionOf(hashes[static_cast<size_t>(i)], bits);
         row_ids[static_cast<size_t>(mine[p]++)] = i;
       }
-    }, opts.steal_stats);
+    });
   }
 
   int num_partitions() const { return 1 << bits; }
@@ -325,12 +325,6 @@ struct RadixScatter {
 // its own filter while inserting (gated on the build clearing
 // kMinBloomBuildRows), so probes can reject a partition — and skip its
 // bucket-chain walk entirely — on two bit tests.
-//
-// The build also records which pool worker built each partition (builder()),
-// the anchor of the scheduler's sticky partition affinity: the probe side
-// scatters its morsels by the same partition function and pushes each
-// partition's probe chunks to its builder's deque, so the thread whose cache
-// holds a partition's bucket array probes it (stealable under imbalance).
 class PartitionedColumnIndex {
  public:
   PartitionedColumnIndex(const Relation& rel, const std::vector<int>& cols,
@@ -344,7 +338,6 @@ class PartitionedColumnIndex {
     const int parts = scatter.num_partitions();
     parts_.reserve(static_cast<size_t>(parts));
     blooms_.resize(static_cast<size_t>(parts));
-    builders_.assign(static_cast<size_t>(parts), -1);
     for (int p = 0; p < parts; ++p) {
       const int64_t rows =
           scatter.part_begin[static_cast<size_t>(p) + 1] -
@@ -355,16 +348,6 @@ class PartitionedColumnIndex {
     opts.scheduler->ParallelFor(parts, [&](int64_t p) {
       ColumnIndex& index = parts_[static_cast<size_t>(p)];
       BloomFilter& bloom = blooms_[static_cast<size_t>(p)];
-      // Sticky affinity tag: the worker whose cache now holds this
-      // partition. Partitions built by an external caller thread (index -1,
-      // not a valid steal-placement target) fall back to a deterministic
-      // round-robin worker so their probe chunks still get stable per-
-      // partition placement instead of all landing in the shared overflow.
-      const int built_by = opts.scheduler->CurrentWorkerIndex();
-      const int nw = opts.scheduler->num_workers();
-      builders_[static_cast<size_t>(p)] =
-          built_by >= 0 ? built_by
-                        : (nw > 0 ? static_cast<int>(p) % nw : -1);
       const int64_t hi = scatter.part_begin[static_cast<size_t>(p) + 1];
       for (int64_t k = scatter.part_begin[static_cast<size_t>(p)]; k < hi;
            ++k) {
@@ -373,7 +356,7 @@ class PartitionedColumnIndex {
         index.Add(row, h);
         if (use_bloom_) bloom.Add(h);
       }
-    }, opts.steal_stats);
+    });
   }
 
   // The partition index responsible for probe-key hash `h`, or nullptr when
@@ -387,10 +370,6 @@ class PartitionedColumnIndex {
 
   int bits() const { return bits_; }
   int num_partitions() const { return 1 << bits_; }
-
-  // The pool worker that built partition p (-1: the query's caller thread
-  // built it) — the affinity target for that partition's probe chunks.
-  int builder(int p) const { return builders_[static_cast<size_t>(p)]; }
 
   const ColumnIndex& part(int p) const {
     return parts_[static_cast<size_t>(p)];
@@ -410,7 +389,6 @@ class PartitionedColumnIndex {
   int bits_ = 0;
   std::vector<ColumnIndex> parts_;
   std::vector<BloomFilter> blooms_;
-  std::vector<int> builders_;
 };
 
 // Prefix sums of per-chunk output sizes in merge order: offsets[pos] is the
@@ -527,7 +505,7 @@ Relation Project(const Relation& r, const AttrSet& x,
       seen.Add(i, h);
       survives[static_cast<size_t>(i)] = 1;
     }
-  }, opts.steal_stats);
+  });
 
   // Compaction: per-morsel survivor selection vectors, prefix sum, then
   // parallel per-column gathers into disjoint ranges of the output arenas,
@@ -542,7 +520,7 @@ Relation Project(const Relation& r, const AttrSet& x,
     for (int64_t i = lo; i < hi; ++i) {
       if (survives[static_cast<size_t>(i)]) sel.push_back(i);
     }
-  }, opts.steal_stats);
+  });
   std::vector<int64_t> offsets(static_cast<size_t>(chunks) + 1, 0);
   for (int64_t c = 0; c < chunks; ++c) {
     offsets[static_cast<size_t>(c) + 1] =
@@ -558,7 +536,7 @@ Relation Project(const Relation& r, const AttrSet& x,
       GatherColumn(r.ColData(cols[k]), sel,
                    out.ColData(static_cast<int>(k)) + dst);
     }
-  }, opts.steal_stats);
+  });
   return out;
 }
 
@@ -652,11 +630,10 @@ Relation NaturalJoin(const Relation& r, const Relation& s,
   // radix scatter of the probe relation by the build's own partition
   // function (the same structure Semijoin's parallel kernel uses): each
   // probe chunk walks exactly one cache-resident partition — bucket array
-  // plus Bloom filter — instead of every morsel touching all of them, and
-  // carries sticky affinity to the worker that built its partition
-  // (stealable under imbalance). The Bloom accept/reject decisions reuse
-  // the same filters on the same hashes as the morsel-range path did, so
-  // the prune counters are numerically unchanged.
+  // plus Bloom filter — instead of every morsel touching all of them. The
+  // Bloom accept/reject decisions reuse the same filters on the same hashes
+  // as the morsel-range path did, so the prune counters are numerically
+  // unchanged.
   PartitionedColumnIndex index(build, build_cols, opts);
   const int64_t n = probe.NumRows();
   RadixScatter probe_scatter(n, probe_keys, opts, index.bits());
@@ -666,7 +643,6 @@ Relation NaturalJoin(const Relation& r, const Relation& s,
     int64_t lo, hi;  // range of probe_scatter.row_ids
   };
   std::vector<ProbeChunk> probe_chunks;
-  std::vector<int> affinity;
   for (int p = 0; p < index.num_partitions(); ++p) {
     const int64_t plo = probe_scatter.part_begin[static_cast<size_t>(p)];
     const int64_t phi = probe_scatter.part_begin[static_cast<size_t>(p) + 1];
@@ -674,7 +650,6 @@ Relation NaturalJoin(const Relation& r, const Relation& s,
     const int64_t step = ClampMorselToPartition(opts.morsel_rows, phi - plo);
     for (int64_t lo = plo; lo < phi; lo += step) {
       probe_chunks.push_back(ProbeChunk{p, lo, std::min(phi, lo + step)});
-      affinity.push_back(index.builder(p));
     }
   }
   const int64_t chunks = static_cast<int64_t>(probe_chunks.size());
@@ -689,33 +664,30 @@ Relation NaturalJoin(const Relation& r, const Relation& s,
   // as the serial probe would have emitted them.
   std::vector<int64_t> row_matches;
   if (opts.deterministic) row_matches.assign(static_cast<size_t>(n), 0);
-  opts.scheduler->ParallelForAffine(
-      chunks,
-      [&](int64_t c) {
-        const ProbeChunk& chunk = probe_chunks[static_cast<size_t>(c)];
-        const ColumnIndex& part = index.part(chunk.part);
-        std::vector<int64_t>& pids = probe_ids[static_cast<size_t>(c)];
-        std::vector<int64_t>& bids = build_ids[static_cast<size_t>(c)];
-        int64_t pruned = 0;
-        for (int64_t k = chunk.lo; k < chunk.hi; ++k) {
-          const int64_t i = probe_scatter.row_ids[static_cast<size_t>(k)];
-          const uint64_t h = probe_scatter.hashes[static_cast<size_t>(i)];
-          if (!index.PartitionMaybeContains(chunk.part, h)) {
-            ++pruned;
-            continue;
-          }
-          part.ForEachMatchHashed(probe_keys, i, h, [&](int64_t j) {
-            pids.push_back(i);
-            bids.push_back(j);
-          });
-        }
-        if (opts.deterministic) {
-          for (int64_t p : pids) ++row_matches[static_cast<size_t>(p)];
-        }
-        CountPrunes(opts, pruned, pruned);
-        merge.Record(c);
-      },
-      affinity, opts.steal_stats);
+  opts.scheduler->ParallelFor(chunks, [&](int64_t c) {
+    const ProbeChunk& chunk = probe_chunks[static_cast<size_t>(c)];
+    const ColumnIndex& part = index.part(chunk.part);
+    std::vector<int64_t>& pids = probe_ids[static_cast<size_t>(c)];
+    std::vector<int64_t>& bids = build_ids[static_cast<size_t>(c)];
+    int64_t pruned = 0;
+    for (int64_t k = chunk.lo; k < chunk.hi; ++k) {
+      const int64_t i = probe_scatter.row_ids[static_cast<size_t>(k)];
+      const uint64_t h = probe_scatter.hashes[static_cast<size_t>(i)];
+      if (!index.PartitionMaybeContains(chunk.part, h)) {
+        ++pruned;
+        continue;
+      }
+      part.ForEachMatchHashed(probe_keys, i, h, [&](int64_t j) {
+        pids.push_back(i);
+        bids.push_back(j);
+      });
+    }
+    if (opts.deterministic) {
+      for (int64_t p : pids) ++row_matches[static_cast<size_t>(p)];
+    }
+    CountPrunes(opts, pruned, pruned);
+    merge.Record(c);
+  });
 
   if (opts.deterministic) {
     // Exclusive prefix sum over global probe-row order: row i's matches
@@ -752,7 +724,7 @@ Relation NaturalJoin(const Relation& r, const Relation& s,
           out_col[dst[t]] = col[static_cast<size_t>(ids[t])];
         }
       }
-    }, opts.steal_stats);
+    });
     return out;
   }
 
@@ -768,7 +740,7 @@ Relation NaturalJoin(const Relation& r, const Relation& s,
     GatherPairs(probe_ids[static_cast<size_t>(c)],
                 build_ids[static_cast<size_t>(c)],
                 base + offsets[static_cast<size_t>(pos)]);
-  }, opts.steal_stats);
+  });
   return out;
 }
 
@@ -855,11 +827,9 @@ Relation Semijoin(const Relation& r, const Relation& s,
   // Parallel form: partitioned Bloom-filtered build over s, then a
   // PROBE-SIDE radix scatter of r by the build's own partition function, so
   // each probe task walks exactly one cache-resident partition (bucket
-  // array + Bloom filter) instead of every morsel touching all of them. The
-  // chunks carry sticky affinity: partition p's probe chunks go to the
-  // worker that built partition p first (stealable under imbalance —
-  // ParallelForAffine). Chunk sizes are clamped per partition
-  // (ClampMorselToPartition) so no chunk ever spans a partition boundary.
+  // array + Bloom filter) instead of every morsel touching all of them.
+  // Chunk sizes are clamped per partition (ClampMorselToPartition) so no
+  // chunk ever spans a partition boundary.
   //
   // Survivors land in a shared per-row bitmap (disjoint bytes — each probe
   // row belongs to exactly one partition) and are compacted in input row
@@ -877,7 +847,6 @@ Relation Semijoin(const Relation& r, const Relation& s,
     int64_t lo, hi;  // range of probe_scatter.row_ids
   };
   std::vector<ProbeChunk> probe_chunks;
-  std::vector<int> affinity;
   for (int p = 0; p < index.num_partitions(); ++p) {
     const int64_t plo = probe_scatter.part_begin[static_cast<size_t>(p)];
     const int64_t phi = probe_scatter.part_begin[static_cast<size_t>(p) + 1];
@@ -885,37 +854,34 @@ Relation Semijoin(const Relation& r, const Relation& s,
     const int64_t step = ClampMorselToPartition(opts.morsel_rows, phi - plo);
     for (int64_t lo = plo; lo < phi; lo += step) {
       probe_chunks.push_back(ProbeChunk{p, lo, std::min(phi, lo + step)});
-      affinity.push_back(index.builder(p));
     }
   }
-  CountMorsels(opts, static_cast<int64_t>(probe_chunks.size()));
+  const int64_t num_probe_chunks = static_cast<int64_t>(probe_chunks.size());
+  CountMorsels(opts, num_probe_chunks);
   std::vector<uint8_t> survives(static_cast<size_t>(n), 0);
-  opts.scheduler->ParallelForAffine(
-      static_cast<int64_t>(probe_chunks.size()),
-      [&](int64_t c) {
-        const ProbeChunk& chunk = probe_chunks[static_cast<size_t>(c)];
-        const ColumnIndex& part = index.part(chunk.part);
-        int64_t pruned = 0;
-        int64_t sip_pruned = 0;
-        for (int64_t k = chunk.lo; k < chunk.hi; ++k) {
-          const int64_t i = probe_scatter.row_ids[static_cast<size_t>(k)];
-          const uint64_t h = probe_scatter.hashes[static_cast<size_t>(i)];
-          if (SipReject(opts.sip_filters, h)) {
-            ++sip_pruned;
-            continue;
-          }
-          if (!index.PartitionMaybeContains(chunk.part, h)) {
-            ++pruned;
-            continue;
-          }
-          if (part.ContainsHashed(probe_keys, i, h)) {
-            survives[static_cast<size_t>(i)] = 1;
-          }
-        }
-        CountPrunes(opts, pruned, pruned);
-        CountSip(opts, sip_pruned);
-      },
-      affinity, opts.steal_stats);
+  opts.scheduler->ParallelFor(num_probe_chunks, [&](int64_t c) {
+    const ProbeChunk& chunk = probe_chunks[static_cast<size_t>(c)];
+    const ColumnIndex& part = index.part(chunk.part);
+    int64_t pruned = 0;
+    int64_t sip_pruned = 0;
+    for (int64_t k = chunk.lo; k < chunk.hi; ++k) {
+      const int64_t i = probe_scatter.row_ids[static_cast<size_t>(k)];
+      const uint64_t h = probe_scatter.hashes[static_cast<size_t>(i)];
+      if (SipReject(opts.sip_filters, h)) {
+        ++sip_pruned;
+        continue;
+      }
+      if (!index.PartitionMaybeContains(chunk.part, h)) {
+        ++pruned;
+        continue;
+      }
+      if (part.ContainsHashed(probe_keys, i, h)) {
+        survives[static_cast<size_t>(i)] = 1;
+      }
+    }
+    CountPrunes(opts, pruned, pruned);
+    CountSip(opts, sip_pruned);
+  });
 
   // Compaction in input row order (same two-pass shape as Project's):
   // per-morsel survivor selection vectors, prefix sum, parallel gathers.
@@ -929,7 +895,7 @@ Relation Semijoin(const Relation& r, const Relation& s,
     for (int64_t i = lo; i < hi; ++i) {
       if (survives[static_cast<size_t>(i)]) sel.push_back(i);
     }
-  }, opts.steal_stats);
+  });
   std::vector<int64_t> offsets(static_cast<size_t>(chunks) + 1, 0);
   for (int64_t c = 0; c < chunks; ++c) {
     offsets[static_cast<size_t>(c) + 1] =
@@ -941,7 +907,7 @@ Relation Semijoin(const Relation& r, const Relation& s,
     const std::vector<int64_t>& sel = selected[static_cast<size_t>(c)];
     if (sel.empty()) return;
     GatherSelected(sel, base + offsets[static_cast<size_t>(c)]);
-  }, opts.steal_stats);
+  });
   // Row-ordered compaction of a canonical input is still a subsequence —
   // in both determinism modes (the survivor bitmap erases scheduling order).
   if (r.IsCanonical()) out.MarkCanonical();

@@ -5,7 +5,6 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "rel/relation.h"
@@ -15,7 +14,6 @@ namespace gyo {
 
 namespace exec {
 class TaskScheduler;
-struct StealStats;
 }  // namespace exec
 
 class BloomFilter;
@@ -71,12 +69,6 @@ struct OpExecOpts {
   /// rejections alike) is tallied here — the QueryStats::probe_rows_pruned
   /// feed.
   std::atomic<int64_t>* probe_prune_counter = nullptr;
-  /// When non-null, the kernels' parallel loops tally work stealing and
-  /// partition-affinity hits/misses here (the QueryStats::tasks_stolen /
-  /// affinity_* feeds). Purely observational — placement never changes
-  /// results. Shared ownership: queued jobs co-own the counters, so a job
-  /// drained after the owning query finished never dangles.
-  std::shared_ptr<exec::StealStats> steal_stats;
   /// Sideways-information-passing filters (exec/physical_plan.cc): Bloom
   /// filters built over a LATER chain statement's build side, keyed on the
   /// same attributes (in the same sorted order) as this Semijoin's probe

@@ -155,9 +155,6 @@ std::vector<Relation> SemijoinFixpoint(const DatabaseSchema& d,
       total_stats.probe_rows_pruned += round_stats.probe_rows_pruned;
       total_stats.sip_rows_pruned += round_stats.sip_rows_pruned;
       total_stats.zone_map_skips += round_stats.zone_map_skips;
-      total_stats.tasks_stolen += round_stats.tasks_stolen;
-      total_stats.affinity_hits += round_stats.affinity_hits;
-      total_stats.affinity_misses += round_stats.affinity_misses;
       // queue_depth_at_admit is not summed: keep the worst (deepest) round.
       total_stats.queue_depth_at_admit = std::max(
           total_stats.queue_depth_at_admit, round_stats.queue_depth_at_admit);

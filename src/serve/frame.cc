@@ -277,9 +277,6 @@ std::vector<uint8_t> EncodeQueryResponse(const QueryResponse& response,
   w.Zigzag(q.retired_states);
   w.Zigzag(q.bloom_partition_skips);
   w.Zigzag(q.probe_rows_pruned);
-  w.Zigzag(q.tasks_stolen);
-  w.Zigzag(q.affinity_hits);
-  w.Zigzag(q.affinity_misses);
   w.Zigzag(q.queue_depth_at_admit);
   w.Zigzag(q.plan_cache_hits);
   w.Zigzag(q.state_cache_hits);
@@ -317,9 +314,6 @@ std::vector<uint8_t> EncodeStatusResponse(const StatusResponse& status) {
   w.Varint(status.queries_shed_backlog);
   w.Varint(status.protocol_errors);
   w.U8(status.draining ? 1 : 0);
-  w.Varint(status.tasks_stolen);
-  w.Varint(status.affinity_hits);
-  w.Varint(status.affinity_misses);
   w.Varint(status.sip_rows_pruned);
   w.Varint(status.zone_map_skips);
   w.Varint(status.plan_cache_hits);
@@ -405,8 +399,7 @@ bool DecodeQueryResponse(const uint8_t* body, size_t size,
       !r.F64(&q.run_time_seconds) || !r.Zigzag(&q.tasks) ||
       !r.Zigzag(&q.morsels) || !r.Zigzag(&q.peak_state_bytes) ||
       !r.Zigzag(&q.retired_states) || !r.Zigzag(&q.bloom_partition_skips) ||
-      !r.Zigzag(&q.probe_rows_pruned) || !r.Zigzag(&q.tasks_stolen) ||
-      !r.Zigzag(&q.affinity_hits) || !r.Zigzag(&q.affinity_misses) ||
+      !r.Zigzag(&q.probe_rows_pruned) ||
       !r.Zigzag(&q.queue_depth_at_admit) || !r.Zigzag(&q.plan_cache_hits) ||
       !r.Zigzag(&q.state_cache_hits) || !r.Zigzag(&q.delta_rounds) ||
       !r.Zigzag(&q.rows_rescanned) || !r.Zigzag(&q.sip_rows_pruned) ||
@@ -462,9 +455,8 @@ bool DecodeStatusResponse(const uint8_t* body, size_t size,
       !r.Varint(&s.connections_active) || !r.Varint(&s.queries_served) ||
       !r.Varint(&s.queries_shed_deadline) ||
       !r.Varint(&s.queries_shed_backlog) || !r.Varint(&s.protocol_errors) ||
-      !r.U8(&draining) || draining > 1 || !r.Varint(&s.tasks_stolen) ||
-      !r.Varint(&s.affinity_hits) || !r.Varint(&s.affinity_misses) ||
-      !r.Varint(&s.sip_rows_pruned) || !r.Varint(&s.zone_map_skips) ||
+      !r.U8(&draining) || draining > 1 || !r.Varint(&s.sip_rows_pruned) ||
+      !r.Varint(&s.zone_map_skips) ||
       !r.Varint(&s.plan_cache_hits) || !r.Varint(&s.plan_cache_misses) ||
       !r.Varint(&s.result_cache_hits) || !r.Varint(&s.result_cache_misses)) {
     return SetError(error, "truncated status counters");

@@ -150,10 +150,6 @@ struct StatusResponse {
   uint64_t queries_shed_backlog = 0;
   uint64_t protocol_errors = 0;
   bool draining = false;
-  /// Scheduling totals accumulated over served queries.
-  uint64_t tasks_stolen = 0;
-  uint64_t affinity_hits = 0;
-  uint64_t affinity_misses = 0;
   /// Pruning totals accumulated over served queries: probe rows rejected by
   /// sideways-information-passing filters and probe rows skipped by
   /// zone-map disjointness proofs (see exec::QueryStats).

@@ -176,9 +176,6 @@ class Server::Impl {
   std::atomic<uint64_t> queries_shed_deadline_{0};
   std::atomic<uint64_t> queries_shed_backlog_{0};
   std::atomic<uint64_t> protocol_errors_{0};
-  std::atomic<uint64_t> tasks_stolen_{0};
-  std::atomic<uint64_t> affinity_hits_{0};
-  std::atomic<uint64_t> affinity_misses_{0};
   std::atomic<uint64_t> sip_rows_pruned_{0};
   std::atomic<uint64_t> zone_map_skips_{0};
 
@@ -270,9 +267,6 @@ StatusResponse Server::Impl::Status() const {
       queries_shed_backlog_.load(std::memory_order_relaxed);
   s.protocol_errors = protocol_errors_.load(std::memory_order_relaxed);
   s.draining = draining_.load(std::memory_order_acquire);
-  s.tasks_stolen = tasks_stolen_.load(std::memory_order_relaxed);
-  s.affinity_hits = affinity_hits_.load(std::memory_order_relaxed);
-  s.affinity_misses = affinity_misses_.load(std::memory_order_relaxed);
   s.sip_rows_pruned = sip_rows_pruned_.load(std::memory_order_relaxed);
   s.zone_map_skips = zone_map_skips_.load(std::memory_order_relaxed);
   if (plan_cache_ != nullptr) {
@@ -735,15 +729,6 @@ void Server::Impl::RunQuery(uint64_t conn_id, std::vector<uint8_t> body) {
     resp.plan.num_source_statements = plan->NumSourceStatements();
     resp.plan.strategy = resolved;
   }
-  tasks_stolen_.fetch_add(
-      static_cast<uint64_t>(resp.query_stats.tasks_stolen),
-      std::memory_order_relaxed);
-  affinity_hits_.fetch_add(
-      static_cast<uint64_t>(resp.query_stats.affinity_hits),
-      std::memory_order_relaxed);
-  affinity_misses_.fetch_add(
-      static_cast<uint64_t>(resp.query_stats.affinity_misses),
-      std::memory_order_relaxed);
   sip_rows_pruned_.fetch_add(
       static_cast<uint64_t>(resp.query_stats.sip_rows_pruned),
       std::memory_order_relaxed);

@@ -368,18 +368,17 @@ TEST(ExecutorPoolTest, QueueDepthAtAdmitReported) {
   EXPECT_EQ(depth_c.load(), 1);  // b was already waiting when c arrived
 }
 
-// --- Cross-query priority aging (satellite): a query that waited in the
-// admission queue gets a bounded priority boost on every task, so a deep
-// plan admitted earlier cannot starve a long-queued short query's tail. ---
+// --- Cross-graph priority: the shared queue orders ready tasks by priority
+// across every graph in flight, not per graph, at threads > 1 too. ---
 
-TEST(PriorityAgingTest, AgedGraphOutranksEqualBasePriority) {
-  // Two external threads share a scheduler whose only worker is parked
-  // (steal-storm hook), so the drain order of the shared overflow queue is
-  // fully deterministic. Thread H1's graph holds the pool in a gate task and
-  // leaves a base-priority-1 task ("A") queued; thread H2 then submits a
-  // base-priority-1 task ("B") with a large admission age. The aging boost
-  // must let B jump A; without it, FIFO runs A first.
-  for (bool aged : {true, false}) {
+TEST(CrossGraphPriorityTest, LaterGraphsHigherPriorityTaskDispatchesFirst) {
+  // Two external threads share a scheduler whose only worker is parked, so
+  // the drain order of the shared queue is fully deterministic. Thread H1's
+  // graph holds H1 in a gate task and leaves a priority-1 task ("A")
+  // queued; thread H2 then submits one task ("B") and drains the queue
+  // itself. A priority-5 B must run before the earlier graph's A; at equal
+  // priority the queue is FIFO and A runs first.
+  for (int b_priority : {5, 1}) {
     TaskScheduler::Options options;
     options.threads = 2;
     options.worker0_start_delay_ms = 5000;  // interruptible at shutdown
@@ -410,23 +409,18 @@ TEST(PriorityAgingTest, AgedGraphOutranksEqualBasePriority) {
     }
 
     // "A" (priority 1) is queued; H1 is pinned in the gate; the worker is
-    // parked. H2's task has the same base priority, boosted by its age.
+    // parked. H2 is the only thread free to drain the queue.
     TaskGraph b;
-    b.AddTask([&] { record("B"); }, 1);
-    auto stats = std::make_shared<StealStats>();
-    const double age =
-        aged ? (TaskScheduler::kMaxAgingBoost + 1) *
-                   TaskScheduler::kAgingQuantumSeconds
-             : 0.0;
-    std::thread h2([&] { pool.RunGraph(b, stats, age); });
+    b.AddTask([&] { record("B"); }, b_priority);
+    std::thread h2([&] { pool.RunGraph(b); });
     h2.join();
     gate_release.store(true, std::memory_order_release);
     h1.join();
 
     const std::vector<std::string> want =
-        aged ? std::vector<std::string>{"B", "A"}
-             : std::vector<std::string>{"A", "B"};
-    EXPECT_EQ(order, want) << "aged=" << aged;
+        b_priority > 1 ? std::vector<std::string>{"B", "A"}
+                       : std::vector<std::string>{"A", "B"};
+    EXPECT_EQ(order, want) << "b_priority=" << b_priority;
   }
 }
 

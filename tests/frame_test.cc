@@ -355,7 +355,7 @@ TEST(FrameCodecTest, QueryResponseRoundTrips) {
   response.query_stats.queue_wait_seconds = 0.25;
   response.query_stats.run_time_seconds = 1.5;
   response.query_stats.tasks = 8;
-  response.query_stats.tasks_stolen = 3;
+  response.query_stats.probe_rows_pruned = 3;
   response.query_stats.queue_depth_at_admit = 4;
   response.has_plan = true;
   response.plan.num_statements = 8;
@@ -376,7 +376,7 @@ TEST(FrameCodecTest, QueryResponseRoundTrips) {
   EXPECT_EQ(decoded.query_stats.queue_wait_seconds, 0.25);
   EXPECT_EQ(decoded.query_stats.run_time_seconds, 1.5);
   EXPECT_EQ(decoded.query_stats.tasks, 8);
-  EXPECT_EQ(decoded.query_stats.tasks_stolen, 3);
+  EXPECT_EQ(decoded.query_stats.probe_rows_pruned, 3);
   EXPECT_EQ(decoded.query_stats.queue_depth_at_admit, 4);
   ASSERT_TRUE(decoded.has_plan);
   EXPECT_EQ(decoded.plan.num_statements, 8);
@@ -399,9 +399,8 @@ TEST(FrameCodecTest, StatusResponseRoundTrips) {
   status.queries_shed_backlog = 1;
   status.protocol_errors = 3;
   status.draining = true;
-  status.tasks_stolen = 17;
-  status.affinity_hits = 40;
-  status.affinity_misses = 5;
+  status.sip_rows_pruned = 17;
+  status.zone_map_skips = 40;
 
   std::vector<uint8_t> body =
       Body(EncodeStatusResponse(status), FrameType::kStatusResponse);
@@ -418,7 +417,8 @@ TEST(FrameCodecTest, StatusResponseRoundTrips) {
   EXPECT_EQ(decoded.queries_served, 25u);
   EXPECT_EQ(decoded.queries_shed_deadline, 2u);
   EXPECT_TRUE(decoded.draining);
-  EXPECT_EQ(decoded.affinity_hits, 40u);
+  EXPECT_EQ(decoded.sip_rows_pruned, 17u);
+  EXPECT_EQ(decoded.zone_map_skips, 40u);
 
   // A submitter count that promises more entries than the bytes on hand
   // fails before any allocation.

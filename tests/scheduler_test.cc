@@ -5,8 +5,6 @@
 #include "exec/task_scheduler.h"
 
 #include <atomic>
-#include <chrono>
-#include <memory>
 #include <numeric>
 #include <thread>
 #include <vector>
@@ -271,136 +269,6 @@ TEST(TaskSchedulerTest, GraphsRunBackToBack) {
     pool.RunGraph(g);
     ASSERT_EQ(ran.load(), 2) << "round " << round;
   }
-}
-
-TEST(TaskSchedulerTest, CurrentWorkerIndexIdentifiesThreads) {
-  TaskScheduler pool(4);
-  EXPECT_EQ(pool.num_workers(), 3);
-  // The external calling thread is never a pool worker.
-  EXPECT_EQ(pool.CurrentWorkerIndex(), -1);
-  // Inside chunks, the executing thread is either the caller (-1) or a
-  // worker in [0, num_workers()); every index must be in range.
-  std::atomic<bool> bad_index{false};
-  pool.ParallelFor(256, [&](int64_t) {
-    const int w = pool.CurrentWorkerIndex();
-    if (w < -1 || w >= pool.num_workers()) bad_index.store(true);
-  });
-  EXPECT_FALSE(bad_index.load());
-  // A different pool never claims this pool's threads.
-  TaskScheduler other(2);
-  pool.ParallelFor(8, [&](int64_t) {
-    if (other.CurrentWorkerIndex() != -1) bad_index.store(true);
-  });
-  EXPECT_FALSE(bad_index.load());
-}
-
-TEST(TaskSchedulerTest, ParallelForAffineCoversEveryChunkExactlyOnce) {
-  for (int threads : {1, 2, 4, 8}) {
-    TaskScheduler pool(threads);
-    constexpr int64_t kChunks = 500;
-    // Mixed placement: real worker targets, the no-preference -1, and
-    // out-of-range values (both must route to the shared overflow queue).
-    std::vector<int> affinity(kChunks);
-    for (int64_t c = 0; c < kChunks; ++c) {
-      affinity[static_cast<size_t>(c)] =
-          static_cast<int>(c % (pool.num_workers() + 3)) - 2;
-    }
-    std::vector<std::atomic<int>> hits(kChunks);
-    auto stats = std::make_shared<StealStats>();
-    pool.ParallelForAffine(
-        kChunks,
-        [&](int64_t c) {
-          hits[static_cast<size_t>(c)].fetch_add(1, std::memory_order_relaxed);
-        },
-        affinity, stats);
-    int64_t tagged = 0;
-    for (int64_t c = 0; c < kChunks; ++c) {
-      ASSERT_EQ(hits[static_cast<size_t>(c)].load(), 1)
-          << "chunk " << c << " threads " << threads;
-      if (affinity[static_cast<size_t>(c)] >= 0 &&
-          affinity[static_cast<size_t>(c)] < pool.num_workers()) {
-        ++tagged;
-      }
-    }
-    // Every affinity-tagged chunk is accounted as exactly one hit or miss.
-    EXPECT_EQ(stats->affinity_hits.load() + stats->affinity_misses.load(),
-              tagged)
-        << "threads=" << threads;
-  }
-}
-
-TEST(TaskSchedulerTest, ParallelForAffineZeroAndOneChunk) {
-  TaskScheduler pool(4);
-  int ran = 0;
-  auto stats = std::make_shared<StealStats>();
-  pool.ParallelForAffine(0, [&](int64_t) { ++ran; }, {}, stats);
-  EXPECT_EQ(ran, 0);
-  pool.ParallelForAffine(
-      1,
-      [&](int64_t c) {
-        EXPECT_EQ(c, 0);
-        ++ran;
-      },
-      {0}, stats);
-  EXPECT_EQ(ran, 1);
-}
-
-TEST(TaskSchedulerTest, AffinityHitsAccrueWhenOwnersRunTheirChunks) {
-  // All chunks prefer worker 0 and each body sleeps ~1ms: worker 0 pops its
-  // own deque LIFO, so at least one chunk must run on its preferred worker.
-  TaskScheduler pool(2);
-  constexpr int64_t kChunks = 32;
-  std::vector<int> affinity(kChunks, 0);
-  auto stats = std::make_shared<StealStats>();
-  pool.ParallelForAffine(
-      kChunks,
-      [&](int64_t) {
-        std::this_thread::sleep_for(std::chrono::milliseconds(1));
-      },
-      affinity, stats);
-  EXPECT_GT(stats->affinity_hits.load(), 0);
-  EXPECT_EQ(stats->affinity_hits.load() + stats->affinity_misses.load(),
-            kChunks);
-}
-
-TEST(TaskSchedulerTest, StealStatsCountStolenTasks) {
-  // Steal-storm hook: worker 0 parks 50ms while every chunk lands on its
-  // deque. The other workers are idle with real work visible only on worker
-  // 0's deque, so they must steal it (the participating caller claims some
-  // chunks too — those count as affinity misses, not steals).
-  TaskScheduler::Options options;
-  options.threads = 4;
-  options.worker0_start_delay_ms = 50;
-  TaskScheduler pool(options);
-  constexpr int64_t kChunks = 64;
-  std::vector<int> affinity(kChunks, 0);
-  auto stats = std::make_shared<StealStats>();
-  pool.ParallelForAffine(
-      kChunks,
-      [&](int64_t) {
-        std::this_thread::sleep_for(std::chrono::milliseconds(1));
-      },
-      affinity, stats);
-  EXPECT_GT(stats->tasks_stolen.load(), 0);
-  EXPECT_EQ(stats->affinity_hits.load() + stats->affinity_misses.load(),
-            kChunks);
-}
-
-TEST(TaskSchedulerTest, AgingBoostFormula) {
-  EXPECT_EQ(TaskScheduler::AgingBoost(0.0), 0);
-  EXPECT_EQ(TaskScheduler::AgingBoost(-1.0), 0);
-  // Below one quantum: no boost.
-  EXPECT_EQ(TaskScheduler::AgingBoost(TaskScheduler::kAgingQuantumSeconds / 2),
-            0);
-  // One level per quantum of admission-queue wait.
-  EXPECT_EQ(TaskScheduler::AgingBoost(TaskScheduler::kAgingQuantumSeconds), 1);
-  EXPECT_EQ(
-      TaskScheduler::AgingBoost(3.5 * TaskScheduler::kAgingQuantumSeconds), 3);
-  // Capped: a very stale query cannot outrank morsels or leapfrog forever.
-  EXPECT_EQ(TaskScheduler::AgingBoost(1e9), TaskScheduler::kMaxAgingBoost);
-  EXPECT_EQ(TaskScheduler::AgedPriority(5, 1e9),
-            5 + TaskScheduler::kMaxAgingBoost);
-  EXPECT_EQ(TaskScheduler::AgedPriority(5, 0.0), 5);
 }
 
 }  // namespace
