@@ -7,11 +7,14 @@
 //
 //   * Path_Yannakakis-class workload: a 16-hop path query evaluated by the
 //     Yannakakis program — statement-level parallelism (independent subtree
-//     semijoins) plus morsel-level parallelism in each operator.
+//     semijoins); its 8192-row kernels are below one auto-tuned morsel and
+//     run serially.
 //   * Star_Yannakakis: wide fan-out, scheduler-bound shape.
 //   * FullReducer: the 2(n−1)-semijoin reducer over a random tree schema.
-//   * FullJoin_Morsels: a join-dominated plan where intra-operator morsel
-//     parallelism is the only lever (the statement chain is serial).
+//   * FullJoin_Morsels: a join-dominated plan whose statement chain is
+//     serial. At 32768 rows no probe side spans more than kMinParallelMorsels
+//     auto-tuned morsels, so every kernel runs serially at every width and
+//     the thread curve is the cost of running the chain through the pool.
 //   * MultiClient: Arg(0) concurrent client threads pushing Yannakakis
 //     queries through ONE shared admission-controlled pool — the
 //     multi-tenant story. Counters report the (identical) per-query result
@@ -29,6 +32,7 @@
 #include "exec/executor_pool.h"
 #include "exec/physical_plan.h"
 #include "mem_counters.h"
+#include "rel/ops.h"
 #include "rel/reducer.h"
 #include "rel/solver.h"
 #include "rel/universal.h"
@@ -245,6 +249,11 @@ void BM_Exec_SipStar(benchmark::State& state) {
   const double peak_rss_mb = SampleRss(state, p, states);
   BenchPool bench(state);
   bench.ctx.enable_sip = state.range(1) != 0;
+  // The 2^16-row fact table is only four auto-tuned morsels, which the
+  // UsePartitionedKernel floor runs serially. Morsels of this size put the
+  // floor at 16384 probe rows, so the head of the chain takes the
+  // partitioned probe at widths > 1 and SIP is measured together with it.
+  bench.ctx.morsel_rows = AutoMorselRows(2) / kMinParallelMorsels;
   for (auto _ : state) {
     benchmark::DoNotOptimize(exec::Run(p, states, bench.ctx));
   }

@@ -17,6 +17,7 @@
 #include "exec/executor_pool.h"
 #include "exec/physical_plan.h"
 #include "mem_counters.h"
+#include "rel/ops.h"
 #include "rel/reducer.h"
 #include "rel/solver.h"
 #include "rel/universal.h"
@@ -134,11 +135,13 @@ void BM_SemijoinFixpointParallel_Path(benchmark::State& state) {
   ctx.threads = threads;
   ctx.pool = &pool;
   ctx.query_stats = &query_stats;
-  // Below AutoMorselRows for 4096-row arity-2 states, so the kernels
+  // Far below AutoMorselRows for 4096-row arity-2 states, so the kernels
   // actually split and the partitioned (Bloom-guarded) probe path engages
-  // at threads > 1. The sparse domain makes most probe keys absent, so this
-  // is the bench that demonstrates nonzero bloom_partition_skips.
-  ctx.morsel_rows = 1024;
+  // at threads > 1: every probe of more than 1024 rows clears the
+  // UsePartitionedKernel floor of kMinParallelMorsels morsels. The sparse
+  // domain makes most probe keys absent, so this is the bench that
+  // demonstrates nonzero bloom_partition_skips.
+  ctx.morsel_rows = 1024 / kMinParallelMorsels;
   int steps = 0;
   int64_t rows = 0;
   for (auto _ : state) {

@@ -78,11 +78,19 @@ CHECKED_PREFIXES = ("reduced_rows", "fixpoint_rows")
 #     information passing stopped engaging on the shape built for it.
 #   * zone_map_skips on the ZoneMap family — its disjoint half guarantees
 #     the skip; a zero means Semijoin stopped consulting the zone maps.
+#   * bloom_partition_skips on the SemijoinFixpointParallel family — its
+#     morsel size keeps the fixpoint's probes on the partitioned path at
+#     widths > 1; a zero means the family fell back to the serial kernels.
+#     The counter is also value-pinned (CHECKED_COUNTERS): a counter in both
+#     lists must match its baseline AND sum positive, so re-recording a
+#     baseline of zeros cannot hide the fall-back either.
 POSITIVE_RULES = (
     ("SipStar", "sip_rows_pruned",
      "sideways information passing no longer prunes the star chain"),
     ("ZoneMap", "zone_map_skips",
      "Semijoin no longer skips provably disjoint key ranges"),
+    ("SemijoinFixpointParallel", "bloom_partition_skips",
+     "the parallel fixpoint no longer takes the partitioned kernels"),
     ("Serve_Overload", "requests_shed",
      "the overloaded server no longer sheds (backpressure is off)"),
     ("PlanCacheHit", "plan_cache_hits",
@@ -175,7 +183,8 @@ def main() -> int:
                     failures.append(
                         f"{baseline_path.name}: {bench_name}: counter "
                         f"'{counter}' missing from fresh run")
-                elif positive_counter(bench_name, counter):
+                    continue
+                if positive_counter(bench_name, counter):
                     # Family-aggregated sign check, resolved after the loop
                     # (see above): a single configuration showing zero is a
                     # timing race, the whole family at zero is a regression.
@@ -184,7 +193,7 @@ def main() -> int:
                             sums = positive_sums.setdefault(rule, [0.0, 0.0])
                             sums[0] += want
                             sums[1] += got
-                elif got != want:
+                if checked_counter(counter) and got != want:
                     failures.append(
                         f"{baseline_path.name}: {bench_name}: {counter} "
                         f"drifted: baseline {want:g}, fresh {got:g}")

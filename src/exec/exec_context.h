@@ -24,8 +24,9 @@ struct QueryStats {
   int64_t tasks = 0;
 
   /// Data morsels dispatched by this query's operator kernels (hash-build
-  /// and probe passes). 0 when every operator ran serially — inputs smaller
-  /// than one morsel, or a single-thread pool.
+  /// and probe passes). 0 when every operator ran serially — probe sides of
+  /// at most kMinParallelMorsels morsels (UsePartitionedKernel in
+  /// rel/ops.h), or a single-thread pool.
   int64_t morsels = 0;
 
   /// Peak bytes of live relation-state arenas (base copies + statement
@@ -111,8 +112,9 @@ struct ExecContext {
   /// Probe rows per morsel in the parallel operator kernels. 0 (the default)
   /// auto-tunes per operator from the probe relation's arity so one morsel's
   /// values stay ~L2-resident (see AutoMorselRows in rel/ops.h). Operators
-  /// whose probe side fits in one morsel run serially inside their statement
-  /// task (statement-level parallelism still applies).
+  /// whose probe side spans at most kMinParallelMorsels morsels run serially
+  /// inside their statement task (UsePartitionedKernel in rel/ops.h;
+  /// statement-level parallelism still applies).
   int64_t morsel_rows = 0;
 
   /// When true (default), parallel operators merge their per-morsel outputs

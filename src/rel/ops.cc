@@ -233,11 +233,12 @@ inline bool SipReject(const std::vector<const BloomFilter*>* filters,
   return false;
 }
 
-// True when the probe side is worth splitting into morsels. `opts` must be
+// UsePartitionedKernel (ops.h) for the attached pool; `opts` must be
 // resolved (morsel_rows >= 1).
-inline bool RunParallel(const OpExecOpts& opts, int64_t probe_rows) {
-  return opts.scheduler != nullptr && opts.scheduler->threads() > 1 &&
-         probe_rows > opts.morsel_rows && opts.morsel_rows >= 1;
+inline bool Partitioned(const OpExecOpts& opts, int64_t probe_rows) {
+  return UsePartitionedKernel(
+      opts.scheduler == nullptr ? 1 : opts.scheduler->threads(), probe_rows,
+      opts.morsel_rows);
 }
 
 inline int64_t NumMorsels(int64_t rows, int64_t morsel_rows) {
@@ -460,7 +461,7 @@ Relation Project(const Relation& r, const AttrSet& x,
 
   const std::vector<const Value*> keys = KeyCols(r, cols);
 
-  if (!RunParallel(opts, n)) {
+  if (!Partitioned(opts, n)) {
     // First-occurrence selection: an incremental ColumnIndex over the input
     // keyed on the projected columns records every distinct key's first row;
     // one gather pass per column then compacts the survivors. No sort — the
@@ -600,7 +601,7 @@ Relation NaturalJoin(const Relation& r, const Relation& s,
   // Distinct (probe, build) row pairs yield distinct output tuples (the
   // output determines both inputs), so duplicate-free inputs give a
   // duplicate-free output; no dedupe or sort is needed on either path.
-  if (!RunParallel(opts, probe.NumRows())) {
+  if (!Partitioned(opts, probe.NumRows())) {
     BloomFilter bloom;
     const ColumnIndex index =
         BuildIndex(KeyCols(build, build_cols), build.NumRows(), &bloom);
@@ -789,7 +790,7 @@ Relation Semijoin(const Relation& r, const Relation& s,
     }
   };
 
-  if (!RunParallel(opts, r.NumRows())) {
+  if (!Partitioned(opts, r.NumRows())) {
     BloomFilter bloom;
     const ColumnIndex index =
         BuildIndex(KeyCols(s, s_cols), s.NumRows(), &bloom);

@@ -32,8 +32,9 @@ class BloomFilter;
 
 /// Execution options threaded through the kernels by the exec runtime
 /// (exec/physical_plan.h). Default-constructed options run the serial
-/// engine. With a scheduler attached and a probe side larger than one
-/// morsel, the kernels switch to their parallel form: a radix-scatter
+/// engine. With a multi-thread scheduler attached and a probe side larger
+/// than kMinParallelMorsels morsels (UsePartitionedKernel below), the
+/// kernels switch to their parallel form: a radix-scatter
 /// partitioned build (one counting pass + prefix-sum layout + one scatter
 /// pass lay every row id into its hash partition's contiguous region, then
 /// the partitions build concurrently from their own rows — O(n) total work,
@@ -45,9 +46,10 @@ class BloomFilter;
 struct OpExecOpts {
   /// Pool to fan morsels out on; nullptr (or a 1-thread pool) = serial.
   exec::TaskScheduler* scheduler = nullptr;
-  /// Probe rows per morsel. Inputs of at most this many rows run serially.
-  /// 0 (the default) auto-tunes per kernel from the probe relation's arity
-  /// via AutoMorselRows below.
+  /// Probe rows per morsel. Probe sides of at most kMinParallelMorsels
+  /// morsels run serially (UsePartitionedKernel below). 0 (the default)
+  /// auto-tunes per kernel from the probe relation's arity via
+  /// AutoMorselRows below.
   int64_t morsel_rows = 0;
   /// When true, morsel outputs merge in morsel order and every result is
   /// bit-identical (row order and canonical flag included) to the serial
@@ -103,6 +105,23 @@ constexpr int64_t AutoMorselRows(int arity) {
                            kMorselTargetBytes /
                                (static_cast<int64_t>(arity < 1 ? 1 : arity) *
                                 static_cast<int64_t>(sizeof(Value)))));
+}
+
+/// Serial-or-partitioned decision, shared by Project, NaturalJoin and
+/// Semijoin. The partitioned form pays about seven ParallelFor passes
+/// whatever the input size (a radix scatter of each side, the partition
+/// build, the probe and a two-pass compaction), so it runs only when the
+/// probe side is larger than kMinParallelMorsels morsels on a pool of more
+/// than one thread. Everything smaller runs the serial kernel inside its
+/// statement task; statement-level parallelism still applies.
+constexpr int64_t kMinParallelMorsels = 4;
+
+constexpr bool UsePartitionedKernel(int threads, int64_t probe_rows,
+                                    int64_t morsel_rows) {
+  // The division guard keeps the product below from overflowing.
+  return threads > 1 && morsel_rows >= 1 &&
+         morsel_rows <= probe_rows / kMinParallelMorsels &&
+         probe_rows > kMinParallelMorsels * morsel_rows;
 }
 
 /// Build-side hash partitioning: the parallel kernels split a hash build

@@ -8,6 +8,7 @@
 // rate (pruning actually prunes).
 
 #include <algorithm>
+#include <atomic>
 #include <memory>
 #include <set>
 #include <vector>
@@ -124,12 +125,15 @@ struct RelPair {
   Relation s;
 };
 
+// Parallel kernel options that count dispatched morsels into `morsels`, so
+// a test can check that the partitioned path really ran.
 OpExecOpts PooledOpts(exec::TaskScheduler* pool, int64_t morsel_rows,
-                      bool deterministic) {
+                      bool deterministic, std::atomic<int64_t>* morsels) {
   OpExecOpts opts;
   opts.scheduler = pool;
   opts.morsel_rows = morsel_rows;
   opts.deterministic = deterministic;
+  opts.morsel_counter = morsels;
   return opts;
 }
 
@@ -172,10 +176,19 @@ TEST(ColumnarTest, ParallelKernelsMatchReferenceAtEveryWidth) {
   for (int threads : {2, 4, 8}) {
     exec::TaskScheduler pool(threads);
     for (bool deterministic : {true, false}) {
-      OpExecOpts opts = PooledOpts(&pool, 64, deterministic);
-      Relation semi = Semijoin(p.r, p.s, opts);
-      Relation join = NaturalJoin(p.r, p.s, opts);
-      Relation proj = Project(p.r, AttrSet{0}, opts);
+      std::atomic<int64_t> semi_morsels{0};
+      std::atomic<int64_t> join_morsels{0};
+      std::atomic<int64_t> proj_morsels{0};
+      Relation semi = Semijoin(
+          p.r, p.s, PooledOpts(&pool, 64, deterministic, &semi_morsels));
+      Relation join = NaturalJoin(
+          p.r, p.s, PooledOpts(&pool, 64, deterministic, &join_morsels));
+      Relation proj = Project(
+          p.r, AttrSet{0},
+          PooledOpts(&pool, 64, deterministic, &proj_morsels));
+      EXPECT_GT(semi_morsels.load(), 0) << "threads " << threads;
+      EXPECT_GT(join_morsels.load(), 0) << "threads " << threads;
+      EXPECT_GT(proj_morsels.load(), 0) << "threads " << threads;
       if (deterministic) {
         // Bit-identical to the serial engine: same rows, same physical row
         // order, same canonical flags.
@@ -213,10 +226,12 @@ TEST(ColumnarTest, BloomCountersTallyPrunesWithoutChangingResults) {
   exec::TaskScheduler pool(4);
   std::atomic<int64_t> par_skips{0};
   std::atomic<int64_t> par_prunes{0};
-  OpExecOpts par_opts = PooledOpts(&pool, 256, true);
+  std::atomic<int64_t> par_morsels{0};
+  OpExecOpts par_opts = PooledOpts(&pool, 256, true, &par_morsels);
   par_opts.bloom_skip_counter = &par_skips;
   par_opts.probe_prune_counter = &par_prunes;
   Relation parallel = Semijoin(p.r, p.s, par_opts);
+  EXPECT_GT(par_morsels.load(), 0);
   EXPECT_TRUE(parallel.IdenticalTo(serial));
   // Partition-filter rejections count as both a skip and a prune.
   EXPECT_GT(par_skips.load(), 0);
@@ -277,8 +292,13 @@ TEST(ColumnarTest, SolverStrategiesMatchReferenceEndToEnd) {
         exec::ExecContext ctx;
         ctx.threads = threads;
         ctx.pool = &pool;
-        ctx.morsel_rows = 16;  // force splitting on small states
+        ctx.morsel_rows = 1;  // force splitting on small states
+        exec::QueryStats query_stats;
+        ctx.query_stats = &query_stats;
         Relation parallel = exec::Run(programs[s], states, ctx);
+        EXPECT_GT(query_stats.morsels, 0)
+            << "trial " << trial << " strategy " << s << " threads "
+            << threads;
         EXPECT_TRUE(parallel.IdenticalTo(serial))
             << "trial " << trial << " strategy " << s << " threads "
             << threads;

@@ -250,8 +250,11 @@ TEST(ExecutorPoolTest, PoolReusedAcrossSequentialQueries) {
   ctx.threads = pool.threads();
   ctx.pool = &pool;
   ctx.morsel_rows = 16;  // force morsel splitting on small data
+  QueryStats query_stats;
+  ctx.query_stats = &query_stats;
   for (int round = 0; round < 20; ++round) {
     std::vector<Relation> parallel = Execute(p, states, ctx);
+    ASSERT_GT(query_stats.morsels, 0) << "round " << round;
     ASSERT_EQ(serial.size(), parallel.size()) << "round " << round;
     for (size_t i = 0; i < serial.size(); ++i) {
       ASSERT_TRUE(serial[i].IdenticalTo(parallel[i]))
@@ -304,6 +307,7 @@ TEST(ExecutorPoolTest, ConcurrentQueriesBitIdenticalToSerial) {
       }
       EXPECT_EQ(query_stats.tasks, p.NumStatements());
       EXPECT_GT(query_stats.run_time_seconds, 0.0);
+      EXPECT_GT(query_stats.morsels, 0);
     });
   }
   for (std::thread& c : clients) c.join();
@@ -435,13 +439,22 @@ TEST(ExecutorPoolTest, GlobalPoolServesDefaultContext) {
 
   ExecContext ctx;
   ctx.threads = 2;
-  ctx.morsel_rows = 16;
+  ctx.morsel_rows = 8;
+  QueryStats query_stats;
+  ctx.query_stats = &query_stats;
   std::vector<Relation> parallel = Execute(p, states, ctx);
   ASSERT_EQ(serial.size(), parallel.size());
   for (size_t i = 0; i < serial.size(); ++i) {
     EXPECT_TRUE(serial[i].IdenticalTo(parallel[i])) << "state " << i;
   }
   EXPECT_GE(ExecutorPool::Global().threads(), 1);
+  // The global pool sizes itself to the host: only a multi-thread pool
+  // runs the partitioned kernels.
+  if (ExecutorPool::Global().threads() > 1) {
+    EXPECT_GT(query_stats.morsels, 0);
+  } else {
+    EXPECT_EQ(query_stats.morsels, 0);
+  }
 }
 
 // --- Morsel-size auto-tuning (satellite): the formula is part of the

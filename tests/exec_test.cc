@@ -9,6 +9,7 @@
 
 #include "exec/physical_plan.h"
 
+#include <atomic>
 #include <limits>
 #include <memory>
 #include <vector>
@@ -48,13 +49,23 @@ void ExpectBitIdentical(const std::vector<Relation>& a,
   }
 }
 
-// An ExecContext bound to a fresh pool of exactly `threads` workers.
-// The pool must outlive every Execute call made with the context.
+// The splitting tests shrink morsel_rows so that the partitioned kernels
+// run on small data. Bit-identity alone would also hold on the serial path,
+// so each of them checks that some kernel of the query really dispatched
+// morsels.
+void ExpectSplit(const exec::QueryStats& stats) {
+  EXPECT_GT(stats.morsels, 0) << "no kernel took the partitioned path";
+}
+
+// An ExecContext bound to a fresh pool of exactly `threads` workers, with
+// its QueryStats collected in `query_stats`. The pool must outlive every
+// Execute call made with the context.
 struct PooledCtx {
   explicit PooledCtx(int threads)
       : pool(MakeOptions(threads)) {
     ctx.threads = threads;
     ctx.pool = &pool;
+    ctx.query_stats = &query_stats;
   }
   static exec::ExecutorPool::Options MakeOptions(int threads) {
     exec::ExecutorPool::Options options;
@@ -63,6 +74,7 @@ struct PooledCtx {
   }
   exec::ExecutorPool pool;
   exec::ExecContext ctx;
+  exec::QueryStats query_stats;
 };
 
 // Every program strategy the solver offers for (d, x); skips the tree-only
@@ -149,11 +161,12 @@ TEST(ExecTest, MatchesSerialOnAllStrategiesAndThreadCounts) {
       std::vector<Relation> serial = p.ExecuteWithStats(states, &serial_stats);
       for (int threads : {2, 4, 8}) {
         PooledCtx pooled(threads);
-        pooled.ctx.morsel_rows = 16;  // force morsel splitting on small data
+        pooled.ctx.morsel_rows = 8;  // force morsel splitting on small data
         Program::Stats par_stats;
         std::vector<Relation> parallel =
             exec::Execute(p, states, pooled.ctx, &par_stats);
         ExpectBitIdentical(serial, parallel);
+        ExpectSplit(pooled.query_stats);
         EXPECT_EQ(serial_stats.max_intermediate_rows,
                   par_stats.max_intermediate_rows);
         EXPECT_EQ(serial_stats.total_rows_produced,
@@ -177,6 +190,7 @@ TEST(ExecTest, NonDeterministicModeMatchesAsSets) {
     pooled.ctx.morsel_rows = 8;
     pooled.ctx.deterministic = false;
     std::vector<Relation> parallel = exec::Execute(p, states, pooled.ctx);
+    ExpectSplit(pooled.query_stats);
     ASSERT_EQ(serial.size(), parallel.size());
     for (size_t i = 0; i < serial.size(); ++i) {
       EXPECT_TRUE(serial[i].EqualsAsSet(parallel[i])) << "state " << i;
@@ -257,6 +271,78 @@ TEST(PartitionBitsTest, ForBuildAdaptsToCardinality) {
   }
 }
 
+// --- Serial-or-partitioned kernel choice: the partitioned form runs only
+// when the probe side spans more than kMinParallelMorsels morsels. ---
+
+TEST(KernelGateTest, UsePartitionedKernelPinned) {
+  constexpr int64_t kMorsel = 1024;
+  constexpr int64_t kFloor = kMinParallelMorsels * kMorsel;
+  static_assert(!UsePartitionedKernel(4, kFloor, kMorsel),
+                "usable in constant expressions");
+  // threads <= 1 (including misconfigured 0 / negative) is always serial.
+  for (int threads : {-1, 0, 1}) {
+    EXPECT_FALSE(UsePartitionedKernel(threads, int64_t{1} << 40, kMorsel));
+  }
+  // A probe at the floor runs serially; one row past it is partitioned.
+  for (int threads : {2, 4, 8}) {
+    EXPECT_FALSE(UsePartitionedKernel(threads, kFloor, kMorsel));
+    EXPECT_TRUE(UsePartitionedKernel(threads, kFloor + 1, kMorsel));
+    EXPECT_FALSE(UsePartitionedKernel(threads, 0, kMorsel));
+  }
+  EXPECT_FALSE(UsePartitionedKernel(4, kMinParallelMorsels, 1));
+  EXPECT_TRUE(UsePartitionedKernel(4, kMinParallelMorsels + 1, 1));
+  // Unresolved or huge morsel sizes never split (and never overflow).
+  EXPECT_FALSE(UsePartitionedKernel(4, int64_t{1} << 40, 0));
+  EXPECT_FALSE(UsePartitionedKernel(4, std::numeric_limits<int64_t>::max(),
+                                    std::numeric_limits<int64_t>::max()));
+  // Auto-tuned binary probes: 18000 rows (the perfbench inproc_parallel
+  // states) stay serial, 2^18 rows split.
+  EXPECT_FALSE(UsePartitionedKernel(2, 18000, AutoMorselRows(2)));
+  EXPECT_TRUE(UsePartitionedKernel(4, int64_t{1} << 18, AutoMorselRows(2)));
+}
+
+TEST(KernelGateTest, InprocParallelShapeRunsSerialKernels) {
+  // A 6-relation path over 18000-row binary states on a 2-thread pool with
+  // auto-tuned morsels: every probe side spans about one 16384-row morsel,
+  // so no kernel may pay for the partitioned form. Statement-level
+  // parallelism still runs the plan on the pool.
+  DatabaseSchema d = PathSchema(7);
+  AttrSet x{0, 6};
+  Program p = *YannakakisProgram(d, x);
+  std::vector<Relation> states = MakeUR(d, 18000, 16 * 18000, 2);
+  std::vector<Relation> serial = p.Execute(states);
+  PooledCtx pooled(2);
+  std::vector<Relation> parallel = exec::Execute(p, states, pooled.ctx);
+  ExpectBitIdentical(serial, parallel);
+  EXPECT_EQ(pooled.query_stats.morsels, 0);
+  EXPECT_EQ(pooled.query_stats.tasks, p.NumStatements());
+}
+
+TEST(KernelGateTest, LargeSemijoinProbeStillSplits) {
+  // A 2^18-row probe is 16 auto-tuned binary morsels: partitioned on a
+  // 4-thread pool, and bit-identical to the serial kernel.
+  constexpr int64_t kProbeRows = int64_t{1} << 18;
+  Rng rng(5);
+  Relation r(AttrSet{0, 1});
+  r.Reserve(kProbeRows);
+  for (int64_t i = 0; i < kProbeRows; ++i) {
+    r.AddRow({static_cast<Value>(rng.Below(1 << 16)), static_cast<Value>(i)});
+  }
+  r.Canonicalize();
+  Relation s(AttrSet{0, 2});
+  for (Value k = 0; k < (1 << 16); k += 3) s.AddRow({k, k});
+  s.Canonicalize();
+  const Relation serial = Semijoin(r, s);
+  exec::TaskScheduler pool(4);
+  std::atomic<int64_t> morsels{0};
+  OpExecOpts opts;
+  opts.scheduler = &pool;
+  opts.morsel_counter = &morsels;
+  const Relation parallel = Semijoin(r, s, opts);
+  EXPECT_GT(morsels.load(), 0);
+  EXPECT_TRUE(serial.IdenticalTo(parallel));
+}
+
 // --- State retirement (tentpole): compile-time reader counts plus
 // run-time last-reader frees. ---
 
@@ -302,7 +388,7 @@ TEST_F(ExecRetireTest, FreesConsumedStatesKeepsSinksAndResult) {
     if (threads != 1) {
       pooled = std::make_unique<PooledCtx>(threads);
       ctx = pooled->ctx;
-      ctx.morsel_rows = 16;
+      ctx.morsel_rows = 8;
     }
     ctx.retire_consumed = true;
     exec::QueryStats query_stats;
@@ -324,6 +410,7 @@ TEST_F(ExecRetireTest, FreesConsumedStatesKeepsSinksAndResult) {
     EXPECT_GT(freed, 0);
     EXPECT_EQ(query_stats.retired_states, freed) << "threads " << threads;
     EXPECT_GT(query_stats.peak_state_bytes, 0);
+    if (threads != 1) ExpectSplit(query_stats);
   }
 }
 
@@ -403,22 +490,28 @@ class ParallelOpsTest : public ::testing::Test {
     s_->Canonicalize();
   }
 
+  // Counts dispatched morsels into morsels_, which every test that runs a
+  // non-empty kernel checks: the partitioned path must really have run.
   OpExecOpts ParallelOpts(exec::TaskScheduler* pool) {
     OpExecOpts opts;
     opts.scheduler = pool;
     opts.morsel_rows = 32;
+    opts.morsel_counter = &morsels_;
     return opts;
   }
 
   std::unique_ptr<Relation> r_;
   std::unique_ptr<Relation> s_;
+  std::atomic<int64_t> morsels_{0};
 };
 
 TEST_F(ParallelOpsTest, JoinMatchesSerialBitForBit) {
   Relation serial = NaturalJoin(*r_, *s_);
   for (int threads : {2, 4, 8}) {
     exec::TaskScheduler pool(threads);
+    morsels_ = 0;
     Relation parallel = NaturalJoin(*r_, *s_, ParallelOpts(&pool));
+    EXPECT_GT(morsels_.load(), 0) << "threads=" << threads;
     EXPECT_EQ(serial.NumRows(), parallel.NumRows());
     EXPECT_TRUE(serial.IdenticalTo(parallel)) << "threads=" << threads;
   }
@@ -429,7 +522,9 @@ TEST_F(ParallelOpsTest, SemijoinMatchesSerialAndStaysCanonical) {
   EXPECT_TRUE(serial.IsCanonical());  // canonical input propagates
   for (int threads : {2, 4, 8}) {
     exec::TaskScheduler pool(threads);
+    morsels_ = 0;
     Relation parallel = Semijoin(*r_, *s_, ParallelOpts(&pool));
+    EXPECT_GT(morsels_.load(), 0) << "threads=" << threads;
     EXPECT_TRUE(parallel.IsCanonical());
     EXPECT_TRUE(serial.IdenticalTo(parallel)) << "threads=" << threads;
   }
@@ -439,7 +534,9 @@ TEST_F(ParallelOpsTest, ProjectMatchesSerialBitForBit) {
   Relation serial = Project(*r_, AttrSet{1});
   for (int threads : {2, 4, 8}) {
     exec::TaskScheduler pool(threads);
+    morsels_ = 0;
     Relation parallel = Project(*r_, AttrSet{1}, ParallelOpts(&pool));
+    EXPECT_GT(morsels_.load(), 0) << "threads=" << threads;
     EXPECT_EQ(serial.NumRows(), parallel.NumRows());
     EXPECT_TRUE(serial.IdenticalTo(parallel)) << "threads=" << threads;
   }
@@ -455,6 +552,7 @@ TEST_F(ParallelOpsTest, NonDeterministicResultsEqualAsSets) {
   EXPECT_TRUE(semi.EqualsAsSet(Semijoin(*r_, *s_)));
   Relation proj = Project(*r_, AttrSet{1}, opts);
   EXPECT_TRUE(proj.EqualsAsSet(Project(*r_, AttrSet{1})));
+  EXPECT_GT(morsels_.load(), 0);
 }
 
 TEST_F(ParallelOpsTest, DisjointSchemasCartesianProduct) {
@@ -467,8 +565,9 @@ TEST_F(ParallelOpsTest, DisjointSchemasCartesianProduct) {
   Relation serial = NaturalJoin(a, b);
   exec::TaskScheduler pool(4);
   OpExecOpts opts = ParallelOpts(&pool);
-  opts.morsel_rows = 16;
+  opts.morsel_rows = 8;
   Relation parallel = NaturalJoin(a, b, opts);
+  EXPECT_GT(morsels_.load(), 0);
   EXPECT_EQ(parallel.NumRows(), 90 * 7);
   EXPECT_TRUE(serial.IdenticalTo(parallel));
 }
@@ -493,9 +592,10 @@ TEST(ExecReducerTest, ParallelFullReducerMatchesSerial) {
     ASSERT_TRUE(serial.has_value());
     for (int threads : {2, 4, 8}) {
       PooledCtx pooled(threads);
-      pooled.ctx.morsel_rows = 16;
+      pooled.ctx.morsel_rows = 2;
       auto parallel = ApplyFullReducer(t.schema, states, pooled.ctx);
       ASSERT_TRUE(parallel.has_value());
+      ExpectSplit(pooled.query_stats);
       ASSERT_EQ(serial->size(), parallel->size());
       for (size_t i = 0; i < serial->size(); ++i) {
         EXPECT_TRUE((*serial)[i].IdenticalTo((*parallel)[i]))
@@ -558,12 +658,12 @@ TEST(ClampMorselToPartitionTest, StepAlwaysInRangeAndCoversPartition) {
 // parallel-vs-serial contracts must hold with that uneven dispatch. ---
 
 // A PooledCtx variant whose worker 0 starts parked. It also collects
-// QueryStats, so the SIP tests can read the pruning tally.
+// QueryStats, for ExpectSplit and the SIP tests' pruning tally.
 struct StealStormCtx {
   explicit StealStormCtx(int threads) : pool(MakeOptions(threads)) {
     ctx.threads = threads;
     ctx.pool = &pool;
-    ctx.morsel_rows = 16;  // force morsel splitting on small states
+    ctx.morsel_rows = 4;  // force morsel splitting on small states
     ctx.query_stats = &query_stats;
   }
   static exec::ExecutorPool::Options MakeOptions(int threads) {
@@ -595,6 +695,7 @@ TEST(StealStormTest, TreeSchemaMatchesSerialUnderForcedStealing) {
         Program::Stats par_stats;
         std::vector<Relation> parallel =
             exec::Execute(p, states, storm.ctx, &par_stats);
+        ExpectSplit(storm.query_stats);
         if (deterministic) {
           ExpectBitIdentical(serial, parallel);
           EXPECT_EQ(serial_stats.max_intermediate_rows,
@@ -630,6 +731,7 @@ TEST(StealStormTest, CyclicFixpointMatchesSerialUnderForcedStealing) {
       int steps = -1;
       std::vector<Relation> parallel =
           SemijoinFixpoint(d, states, storm.ctx, &steps);
+      ExpectSplit(storm.query_stats);
       // Effective-step counts depend only on row counts, which are
       // mode-independent — equal to serial in both modes.
       EXPECT_EQ(steps, serial_steps) << "threads " << threads;
@@ -721,6 +823,7 @@ TEST(SipTest, ChainParallelMatchesSerialBothModes) {
       storm.ctx.deterministic = deterministic;
       std::vector<Relation> parallel =
           exec::Execute(chain.program, chain.states, storm.ctx);
+      ExpectSplit(storm.query_stats);
       if (deterministic) {
         ExpectBitIdentical(serial, parallel);
       } else {
@@ -786,6 +889,7 @@ TEST(JoinScatterStormTest, JoinHeavyProgramsMatchSerialUnderStealing) {
         storm.ctx.deterministic = deterministic;
         std::vector<Relation> parallel =
             exec::Execute(p, states, storm.ctx);
+        ExpectSplit(storm.query_stats);
         if (deterministic) {
           ExpectBitIdentical(serial, parallel);
         } else {
@@ -821,12 +925,16 @@ TEST(JoinScatterStormTest, KernelBitIdenticalAcrossMorselSizes) {
   // place; `serial` must stay byte-pristine for IdenticalTo).
   Relation serial_sets = serial;
   for (int threads : {2, 4, 8}) {
-    for (int64_t morsel_rows : {16, 64, 257}) {
+    for (int64_t morsel_rows : {16, 37, 61}) {
       exec::TaskScheduler pool(threads);
+      std::atomic<int64_t> morsels{0};
       OpExecOpts opts;
       opts.scheduler = &pool;
       opts.morsel_rows = morsel_rows;
+      opts.morsel_counter = &morsels;
       Relation parallel = NaturalJoin(r, s, opts);
+      EXPECT_GT(morsels.load(), 0)
+          << "threads=" << threads << " morsel_rows=" << morsel_rows;
       EXPECT_TRUE(serial.IdenticalTo(parallel))
           << "threads=" << threads << " morsel_rows=" << morsel_rows;
       opts.deterministic = false;

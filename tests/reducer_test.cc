@@ -158,9 +158,13 @@ TEST_F(ReducerTest, ParallelFixpointBitIdenticalToSerial) {
       exec::ExecContext ctx;
       ctx.threads = threads;
       ctx.pool = &pool;
-      ctx.morsel_rows = 16;  // force morsel splitting on small states
+      ctx.morsel_rows = 4;  // force morsel splitting on small states
+      exec::QueryStats query_stats;
+      ctx.query_stats = &query_stats;
       int steps = -1;
       std::vector<Relation> parallel = SemijoinFixpoint(d, states, ctx, &steps);
+      EXPECT_GT(query_stats.morsels, 0) << "schema " << s << " threads "
+                                        << threads;
       EXPECT_EQ(steps, serial_steps) << "schema " << s << " threads "
                                      << threads;
       ASSERT_EQ(serial.size(), parallel.size());
